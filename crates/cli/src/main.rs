@@ -20,53 +20,30 @@
 //! ```
 //!
 //! Every simulating subcommand (`explore`, `pareto`, `report`, `ga`,
-//! `scenarios`, `sweep`) runs on the [`ddtr_engine`] execution engine and
-//! accepts:
-//!
-//! * `--jobs N` — worker threads (default: one per core),
-//! * `--cache-dir <dir>` — persistent result cache (default
-//!   `.ddtr-cache`),
-//! * `--no-cache` — disable the persistent cache for this run,
-//! * `--trace-json <file>` — write the run's recorded spans as Chrome
-//!   trace-event JSON (loads in Perfetto / `chrome://tracing`).
-//!
-//! `explore`, `pareto`, `report` and `ga` additionally take `--stream`:
-//! packets are then generated into each simulation on the fly (constant
-//! memory regardless of trace length, byte-identical results) instead of
-//! materializing traces up front. `scenarios` and `sweep` always stream.
-//!
-//! Every simulating subcommand also takes `--mem <preset>` to pick the
-//! platform from the memory-hierarchy catalog (`embedded`, `l2`,
-//! `l2-small`, `deep`, `spm`); `ddtr sweep` takes a comma-separated list
-//! and explores the whole scenarios × platforms matrix.
+//! `scenarios`, `sweep`) and `query` share one request path and one flag
+//! grammar ([`spec_from`]): the arguments become a [`JobSpec`],
+//! [`JobSpec::resolve`] turns it into an [`ExploreRequest`], and a local
+//! run executes that on the [`ddtr_engine`] engine through
+//! [`dispatch_observed`], the call `ddtr serve` makes. Both fronts print
+//! the answer through [`print_body`]. Unknown flags, and flags the mode
+//! does not take, are errors. The engine flags (`--jobs`, `--cache-dir`,
+//! `--no-cache`, `--trace-json`), `explore --logs`/`--json` and `ga
+//! --stall` are local-only; `USAGE` lists every flag.
 //!
 //! A second `explore` over an unchanged configuration answers from the
-//! cache and is near-instant.
+//! cache and is near-instant; `replay` turns the step-2 logs `explore
+//! --logs` persists back into Pareto sets without re-simulating.
 //!
-//! `explore --logs <path>` persists the step-2 simulation logs as JSON
-//! lines, which `replay` turns back into Pareto sets without
-//! re-simulating — the decoupling of the original tool flow.
-//!
-//! `serve` keeps a fleet of worker engine sessions resident and answers
-//! exploration requests over a newline-delimited JSON protocol (stdio by
-//! default, `--listen tcp:<addr>` / `--listen unix:<path>` for sockets),
-//! with `--workers N` parallel sessions, optional `--auth-token`,
-//! per-connection `--rate-limit` / `--max-inflight` budgets, a
-//! `--max-request-bytes` line ceiling, a `--max-conns` connection gate
-//! and `--daemon`/`--pid-file` for background operation; `query` is the
-//! matching client and `loadtest` drives a running service with
-//! concurrent clients, reporting p50/p99 latencies. See
-//! `docs/PROTOCOL.md` for the wire format.
+//! `serve` keeps a fleet of worker engine sessions resident behind a
+//! newline-delimited JSON protocol (`docs/PROTOCOL.md`); `query` is its
+//! client and `loadtest` drives it with concurrent clients.
 
-use ddtr_apps::AppKind;
 use ddtr_core::{
-    explore_heuristic_with, explore_pareto_level, explore_scenarios_with, explore_sweep_observed,
-    headline_comparison, profile_application, read_logs, render_pareto_chart, step2_from_logs,
-    table1_markdown, table2_markdown, write_logs, EngineConfig, ExploreEngine, ExploreResult,
-    GaConfig, MemoryPreset, Methodology, MethodologyConfig, ParetoChartPlane, ScenarioConfig,
-    SweepConfig,
+    dispatch_observed, explore_pareto_level, headline_comparison, profile_application, read_logs,
+    render_pareto_chart, step2_from_logs, table1_markdown, table2_markdown, write_logs,
+    EngineConfig, ExploreEngine, ExploreRequest, ExploreResult, MemoryPreset, MethodologyOutcome,
+    ParetoChartPlane, SimLog, SweepCell,
 };
-use ddtr_ddt::DdtKind;
 use ddtr_engine::SimCache;
 use ddtr_serve::loadtest::LoadtestConfig;
 use ddtr_serve::{Client, Endpoint, Event, JobSpec, Request, RequestBody, Server, ServerConfig};
@@ -88,9 +65,9 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "\
 usage:
-  ddtr profile <route|url|ipchains|drr|nat> [--quick]
+  ddtr profile <route|url|ipchains|drr|nat> [--quick] [--extended] [--stream] [--mem <preset>]
   ddtr explore <route|url|ipchains|drr|nat> [--quick] [--extended] [--stream] [--json]
-               [--mem <preset>] [engine flags]
+               [--logs <path>] [--mem <preset>] [engine flags]
   ddtr pareto  <route|url|ipchains|drr|nat> [--quick] [--extended] [--stream]
                [--mem <preset>] [engine flags]
   ddtr report  <route|url|ipchains|drr|nat> [--quick] [--extended] [--stream]
@@ -101,7 +78,7 @@ usage:
   ddtr ga      <route|url|ipchains|drr|nat> [--quick] [--extended] [--stream] [--seed N]
                [--stall N] [--mem <preset>] [engine flags]
   ddtr scenarios [<route|url|ipchains|drr|nat>] [--quick] [--extended] [--base <preset>]
-               [--packets N] [--mem <preset>] [engine flags]
+               [--packets N] [--scenario <name>]... [--mem <preset>] [engine flags]
   ddtr sweep   [<route|url|ipchains|drr|nat>] [--quick] [--extended] [--base <preset>]
                [--packets N] [--mem <preset>,...] [--scenario <name>]... [engine flags]
   ddtr cache   stats|clear|verify|compact [--cache-dir <dir>]
@@ -111,9 +88,8 @@ usage:
                [--rate-limit N] [--max-request-bytes N]
                [--daemon] [--pid-file <path>] [engine flags]
   ddtr query   <tcp:<addr>|unix:<path>> <explore|ga|scenarios|sweep|headline|metrics> [app]
-               [--quick] [--extended] [--stream] [--base <preset>] [--packets N]
-               [--seed N] [--scenario <name>]... [--mem <preset>[,...]]
-               [--id ID] [--json] [--quiet]
+               [the flags of that mode's subcommand, without engine flags, --logs
+               or --stall] [--id ID] [--json] [--quiet]
   ddtr loadtest <tcp:<addr>|unix:<path>> [--clients N] [--pings N] [--explores N]
                [--apps a,b,...] [--full] [--auth-token T] [--connect-retries N]
                [--p99-ms N] [--json]
@@ -126,6 +102,10 @@ engine flags (simulating subcommands):
   --no-cache         do not read or write the persistent cache
   --trace-json <f>   write the run's spans as Chrome trace-event JSON
                      (loads in Perfetto / chrome://tracing)
+
+The simulating subcommands and `ddtr query` share one flag grammar:
+unknown flags, and flags the mode does not take, are errors. Engine
+flags, --logs and --stall are local-only.
 
 --stream generates packets into each simulation on the fly: constant
 memory at any trace length, byte-identical results. `ddtr scenarios`
@@ -162,10 +142,13 @@ const FLAG_MEM: &str = "--mem";
 const FLAG_TRACE_JSON: &str = "--trace-json";
 
 /// Engine flags that consume a value. `engine_from`/`cache_dir_of` parse
-/// exactly these constants and the `scenarios` positional scanner skips
-/// them, so adding a value-taking engine flag cannot desynchronise the
-/// two.
+/// exactly these constants and [`local_request`] hands them to the
+/// grammar walk, so adding a value-taking engine flag cannot
+/// desynchronise the two.
 const ENGINE_VALUE_FLAGS: [&str; 3] = [FLAG_JOBS, FLAG_CACHE_DIR, FLAG_TRACE_JSON];
+
+/// Flags of the shared [`JobSpec`] grammar that consume a value.
+const SPEC_VALUE_FLAGS: [&str; 5] = ["--base", "--packets", "--seed", "--scenario", FLAG_MEM];
 
 fn run(args: &[String]) -> Result<(), String> {
     let mut it = args.iter();
@@ -173,15 +156,15 @@ fn run(args: &[String]) -> Result<(), String> {
     let rest: Vec<&String> = it.collect();
     match cmd.as_str() {
         "profile" => profile(&rest),
-        "explore" => explore(&rest),
-        "pareto" => pareto(&rest),
-        "report" => report(&rest),
+        "explore" => run_local("explore", &rest),
+        "pareto" => run_local("pareto", &rest),
+        "report" => run_local("report", &rest),
         "trace" => trace(&rest),
         "params" => params(&rest),
         "replay" => replay(&rest),
-        "ga" => ga(&rest),
-        "scenarios" => scenarios(&rest),
-        "sweep" => sweep(&rest),
+        "ga" => run_local("ga", &rest),
+        "scenarios" => run_local("scenarios", &rest),
+        "sweep" => run_local("sweep", &rest),
         "cache" => cache(&rest),
         "serve" => serve(&rest),
         "query" => query(&rest),
@@ -216,61 +199,6 @@ fn flag_value<'a>(rest: &[&'a String], flag: &str) -> Result<Option<&'a String>,
             _ => Err(format!("{flag} needs a value")),
         },
         None => Ok(None),
-    }
-}
-
-/// The values of a repeatable `--flag`, one per occurrence (empty when
-/// the flag is absent).
-fn repeated_flag_values<'a>(rest: &[&'a String], flag: &str) -> Result<Vec<&'a String>, String> {
-    rest.iter()
-        .enumerate()
-        .filter(|(_, a)| a.as_str() == flag)
-        .map(|(i, _)| match rest.get(i + 1) {
-            Some(v) if !v.starts_with("--") => Ok(*v),
-            _ => Err(format!("{flag} needs a value")),
-        })
-        .collect()
-}
-
-/// Strict argument scan for the matrix subcommands (`scenarios`,
-/// `sweep`): every flag must be a known value flag (`extra_value_flags`
-/// plus the engine flags) or a known boolean flag, and at most one bare
-/// positional — the optional application restricting the matrix to one
-/// row — is allowed. Unknown flags and stray positionals are errors, not
-/// silently ignored full-matrix runs.
-fn scan_app_positional<'a>(
-    rest: &[&'a String],
-    cmd: &str,
-    extra_value_flags: &[&str],
-) -> Result<Option<&'a String>, String> {
-    let mut value_flags = extra_value_flags.to_vec();
-    value_flags.extend(ENGINE_VALUE_FLAGS);
-    // `--stream` is accepted as a no-op: these subcommands always
-    // stream, and scripts uniformly appending it to simulating
-    // subcommands should not break here.
-    let bool_flags = ["--quick", "--extended", "--no-cache", "--stream"];
-    let mut positionals = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        let arg = rest[i].as_str();
-        if value_flags.contains(&arg) {
-            i += 2;
-        } else if bool_flags.contains(&arg) {
-            i += 1;
-        } else if arg.starts_with("--") {
-            return Err(format!("unknown {cmd} flag `{arg}`"));
-        } else {
-            positionals.push(rest[i]);
-            i += 1;
-        }
-    }
-    match positionals.as_slice() {
-        [] => Ok(None),
-        [app] => Ok(Some(*app)),
-        more => Err(format!(
-            "{cmd} takes at most one application, got {}",
-            more.len()
-        )),
     }
 }
 
@@ -316,53 +244,368 @@ fn write_trace_if_requested(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The one-line engine summary printed after a simulating run.
-fn engine_summary(report: &ddtr_core::EngineReport) -> String {
+/// The one-line engine summary a local run prints last.
+fn engine_line(engine: &ExploreEngine) -> String {
+    let stats = engine.stats();
     format!(
         "engine: jobs={} cache_hits={} executed={}",
-        report.jobs, report.cache_hits, report.executed
+        engine.jobs(),
+        stats.hits,
+        stats.misses
     )
 }
 
-/// [`engine_summary`] over an engine's lifetime counters (for subcommands
-/// without a pipeline [`ddtr_core::EngineReport`]).
-fn engine_stats_line(engine: &ExploreEngine) -> String {
-    let stats = engine.stats();
-    engine_summary(&ddtr_core::EngineReport {
-        jobs: engine.jobs(),
-        cache_hits: stats.hits,
-        executed: stats.misses,
-    })
+/// Parses one front end's arguments into a [`JobSpec`]: the one flag
+/// grammar `ddtr query` and every simulating subcommand share. A local
+/// subcommand fixes `mode`; `query` (`mode = None`) takes it from the
+/// first positional. The optional positional after it is the application.
+///
+/// Besides the spec flags, the walk accepts only the caller's own
+/// `values` (flags that consume a value, read afterwards through
+/// [`flag_value`]) and `switches`. Unknown flags are errors, and
+/// [`JobSpec::resolve`] rejects spec flags the mode does not take.
+fn spec_from(
+    cmd: &str,
+    mode: Option<&str>,
+    rest: &[&String],
+    values: &[&str],
+    switches: &[&str],
+) -> Result<JobSpec, String> {
+    let mut spec = JobSpec {
+        mode: mode.map(str::to_string),
+        ..JobSpec::default()
+    };
+    let mut positionals: Vec<&String> = Vec::new();
+    let mut i = 0;
+    while i < rest.len() {
+        match rest[i].as_str() {
+            "--quick" => spec.quick = true,
+            "--extended" => spec.extended = true,
+            "--stream" => spec.stream = true,
+            flag if switches.contains(&flag) => {}
+            flag if SPEC_VALUE_FLAGS.contains(&flag) || values.contains(&flag) => {
+                i += 1;
+                let value = match rest.get(i) {
+                    Some(v) if !v.starts_with("--") => v.as_str(),
+                    _ => return Err(format!("{flag} needs a value")),
+                };
+                match flag {
+                    "--base" => spec.base = Some(value.to_string()),
+                    "--packets" => {
+                        let packets = value.parse();
+                        spec.packets = Some(packets.map_err(|e| format!("bad packet count: {e}"))?);
+                    }
+                    "--seed" => {
+                        spec.seed = Some(value.parse().map_err(|e| format!("bad seed: {e}"))?);
+                    }
+                    "--scenario" => spec
+                        .scenarios
+                        .get_or_insert_with(Vec::new)
+                        .push(value.to_string()),
+                    // One preset, or the comma-separated platform axis of a
+                    // sweep: the spec carries the list and `resolve`
+                    // enforces the arity per mode.
+                    FLAG_MEM => spec.mem = Some(value.split(',').map(str::to_string).collect()),
+                    _ => {} // the caller's own flag
+                }
+            }
+            flag if flag.starts_with("--") => return Err(format!("unknown {cmd} flag `{flag}`")),
+            _ => positionals.push(rest[i]),
+        }
+        i += 1;
+    }
+    let mut positionals = positionals.into_iter();
+    if spec.mode.is_none() {
+        let mode = positionals
+            .next()
+            .ok_or("query needs a mode (explore, ga, scenarios, sweep or headline)")?;
+        spec.mode = Some(mode.clone());
+    }
+    spec.app = positionals.next().cloned();
+    match positionals.count() {
+        0 => Ok(spec),
+        more => Err(format!(
+            "{cmd} takes at most one application, got {}",
+            more + 1
+        )),
+    }
 }
 
-fn parse_app(rest: &[&String]) -> Result<(AppKind, MethodologyConfig), String> {
-    let app: AppKind = rest
-        .first()
-        .ok_or("missing application name")?
-        .parse()
-        .map_err(|e| format!("{e}"))?;
-    let quick = rest.iter().any(|a| a.as_str() == "--quick");
-    let mut cfg = if quick {
-        MethodologyConfig::quick(app)
-    } else {
-        MethodologyConfig::paper(app)
+/// Resolves a simulating subcommand's arguments into the request it
+/// runs: the shared grammar plus the engine flags and the subcommand's
+/// own local-only flags, then [`JobSpec::resolve`] — the same mapping
+/// `ddtr serve` applies to a `Run` line. `--stall` is a local tweak of
+/// the resolved [`ddtr_core::GaConfig`], not a spec field.
+fn local_request(subcommand: &str, rest: &[&String]) -> Result<ExploreRequest, String> {
+    let (mode, own_values, own_switches): (&str, &[&str], &[&str]) = match subcommand {
+        "explore" => ("explore", &["--logs"], &["--json"]),
+        "profile" | "pareto" | "report" => ("explore", &[], &[]),
+        "ga" => ("ga", &["--stall"], &[]),
+        matrix => (matrix, &[], &[]),
     };
-    if rest.iter().any(|a| a.as_str() == "--extended") {
-        cfg.candidates = DdtKind::EXTENDED.to_vec();
+    let (mut values, mut switches) = (own_values.to_vec(), own_switches.to_vec());
+    if subcommand != "profile" {
+        values.extend(ENGINE_VALUE_FLAGS);
+        switches.push("--no-cache");
     }
-    if rest.iter().any(|a| a.as_str() == "--stream") {
-        cfg.streaming = true;
+    let spec = spec_from(subcommand, Some(mode), rest, &values, &switches)?;
+    let mut request = spec.resolve().map_err(|e| e.to_string())?;
+    if let (ExploreRequest::Ga(cfg), Some(stall)) = (&mut request, flag_value(rest, "--stall")?) {
+        let stall = stall.parse();
+        cfg.stall_generations = Some(stall.map_err(|e| format!("bad stall window: {e}"))?);
     }
-    if let Some(name) = flag_value(rest, FLAG_MEM)? {
-        cfg.mem = name.parse::<MemoryPreset>()?.config();
+    Ok(request)
+}
+
+/// The pipeline outcome of an `explore` answer.
+fn pipeline_outcome(result: &ExploreResult) -> Result<&MethodologyOutcome, String> {
+    match result {
+        ExploreResult::Explore(outcome) => Ok(outcome),
+        other => Err(format!("expected an explore result, got {}", other.mode())),
     }
-    Ok((app, cfg))
+}
+
+/// The `#` header line a local run prints for `request`.
+fn header(request: &ExploreRequest) -> String {
+    match request {
+        ExploreRequest::Explore(cfg) => format!("# exploration of {}", cfg.app),
+        ExploreRequest::Headline(cfg) => format!(
+            "# headline vs original ({}, both dominant DDTs = SLL)",
+            cfg.app
+        ),
+        ExploreRequest::Ga(cfg) => format!("# heuristic (NSGA-II) exploration of {}", cfg.app),
+        ExploreRequest::Scenarios(cfg) => format!(
+            "# scenario matrix over {}: {} apps x {} scenarios, {} packets/sim (streamed)",
+            cfg.base,
+            cfg.apps.len(),
+            cfg.scenarios.len(),
+            cfg.packets_per_sim
+        ),
+        ExploreRequest::Sweep(cfg) => format!(
+            "# platform sweep over {}: {} apps x {} scenarios x {} platforms, {} packets/sim (streamed)",
+            cfg.base,
+            cfg.apps.len(),
+            cfg.scenarios.len(),
+            cfg.mem_presets.len(),
+            cfg.packets_per_sim
+        ),
+    }
+}
+
+/// Prints the answer to `request`, minus its `#` header and `engine:`
+/// line: the one renderer a local run and `ddtr query` share. Sweep cells
+/// are not part of it — they stream as they complete
+/// ([`print_sweep_cell`] locally, `Cell` events from a service).
+fn print_body(request: &ExploreRequest, result: &ExploreResult) {
+    match result {
+        ExploreResult::Explore(outcome) => {
+            println!(
+                "step 1: {} simulations, {} survivors ({:.0}% pruned)",
+                outcome.step1.measurements.len(),
+                outcome.step1.survivors.len(),
+                outcome.step1.pruned_fraction() * 100.0
+            );
+            println!(
+                "step 2: {} simulations over {} configurations",
+                outcome.step2.simulations(),
+                outcome.config.configurations()
+            );
+            println!(
+                "step 3: {} Pareto-optimal combinations:",
+                outcome.pareto.global_front.len()
+            );
+            for p in &outcome.pareto.global_front {
+                println!("  {:20} {}", p.combo, p.report);
+            }
+            println!(
+                "total: {} of {} exhaustive simulations ({:.0}% reduction)",
+                outcome.counts.reduced,
+                outcome.counts.exhaustive,
+                outcome.counts.reduction() * 100.0
+            );
+        }
+        ExploreResult::Ga(outcome) => {
+            let ExploreRequest::Ga(cfg) = request else {
+                unreachable!("only a GA request yields a GA result");
+            };
+            let space = cfg.candidates.len().pow(2);
+            println!(
+                "candidates: {} kinds ({space} combinations), seed {}",
+                cfg.candidates.len(),
+                cfg.seed
+            );
+            for h in &outcome.history {
+                println!(
+                    "generation {:2}: {:3} simulations, archive front {:2}",
+                    h.generation, h.evaluations, h.front_size
+                );
+            }
+            println!(
+                "\n{} simulations of {space} exhaustive ({:.0}% saved); front:",
+                outcome.evaluations,
+                100.0 * (1.0 - outcome.evaluations as f64 / space as f64)
+            );
+            for log in &outcome.front {
+                println!("  {:20} {}", log.combo, log.report);
+            }
+        }
+        ExploreResult::Scenarios(matrix) => {
+            for cell in &matrix.cells {
+                let title = format!("{} under {} ({})", cell.app, cell.scenario, cell.network);
+                print_cell(&title, cell.evaluations, &cell.front);
+            }
+            // Scenario columns often shift the front — summarise the
+            // shift per app.
+            for &app in &matrix.config.apps {
+                let fronts: Vec<(Scenario, Vec<String>)> = matrix
+                    .config
+                    .scenarios
+                    .iter()
+                    .filter_map(|&s| matrix.cell(app, s).map(|c| (s, c.front_labels())))
+                    .collect();
+                if let Some((first, baseline)) = fronts.first() {
+                    let shifted = fronts[1..]
+                        .iter()
+                        .filter(|(_, labels)| labels != baseline)
+                        .count();
+                    println!(
+                        "\n{app}: {shifted} of {} scenarios shift the Pareto front vs {first}",
+                        fronts.len() - 1
+                    );
+                }
+            }
+            println!();
+        }
+        ExploreResult::Sweep(matrix) => {
+            // The cross-platform answer: who survives on how many cells?
+            let cells = matrix.cells.len();
+            println!("\n# cross-platform survivors ({cells} cells)");
+            for s in &matrix.survivors {
+                let marker = if s.cells_on_front == cells {
+                    "  [every cell]"
+                } else {
+                    ""
+                };
+                println!(
+                    "  {:20} on {:3} of {cells} fronts{marker}",
+                    s.combo, s.cells_on_front
+                );
+            }
+            println!(
+                "{} of {} front combinations survive the whole platform family",
+                matrix.robust_combos(cells).len(),
+                matrix.survivors.len()
+            );
+            println!();
+        }
+        ExploreResult::Headline(headline) => {
+            println!(
+                "energy saving (best-energy point {}): {:.0}%",
+                headline.best_energy_combo,
+                headline.energy_saving() * 100.0
+            );
+            println!(
+                "time improvement (best-time point {}): {:.0}%",
+                headline.best_time_combo,
+                headline.time_improvement() * 100.0
+            );
+        }
+    }
+}
+
+/// Prints one matrix cell: its title, then its Pareto front.
+fn print_cell(title: &str, evaluations: usize, front: &[SimLog]) {
+    println!("\n== {title} ==");
+    println!(
+        "{evaluations} combinations evaluated, {} Pareto-optimal:",
+        front.len()
+    );
+    for log in front {
+        println!("  {:20} {}", log.combo, log.report);
+    }
+}
+
+/// Prints one completed sweep cell: the observer of a local sweep.
+fn print_sweep_cell(cell: &SweepCell, done: usize, total: usize) {
+    let (app, scenario, mem, network) = (cell.app, cell.scenario, cell.mem, &cell.network);
+    let title = format!("[{done}/{total}] {app} under {scenario} on {mem} ({network})");
+    print_cell(&title, cell.evaluations, &cell.front);
+}
+
+/// Runs a simulating subcommand — the one local request path: its
+/// arguments resolve into a request, which runs on the local engine
+/// through [`dispatch_observed`] (the call `ddtr serve` makes; sweep cells
+/// print as they complete). `explore`, `ga`, `scenarios` and `sweep` then
+/// print the body `ddtr query` prints too; `pareto`, `report` and
+/// `explore --json` render the pipeline outcome their own way.
+fn run_local(subcommand: &str, rest: &[&String]) -> Result<(), String> {
+    let request = local_request(subcommand, rest)?;
+    let mut engine = engine_from(rest)?;
+    let json = rest.iter().any(|a| a.as_str() == "--json");
+    let shared_view = !json && !matches!(subcommand, "pareto" | "report");
+    if shared_view {
+        println!("{}", header(&request));
+    }
+    let result =
+        dispatch_observed(&mut engine, &request, print_sweep_cell).map_err(|e| e.to_string())?;
+    write_trace_if_requested(rest)?;
+    if let Some(path) = flag_value(rest, "--logs")? {
+        let logs = &pipeline_outcome(&result)?.step2.logs;
+        let file = std::fs::File::create(path.as_str()).map_err(|e| e.to_string())?;
+        write_logs(logs, std::io::BufWriter::new(file)).map_err(|e| e.to_string())?;
+        eprintln!("wrote {} step-2 logs to {path}", logs.len());
+    }
+    if shared_view {
+        print_body(&request, &result);
+        println!("{}", engine_line(&engine));
+        return Ok(());
+    }
+    let outcome = pipeline_outcome(&result)?;
+    match subcommand {
+        "pareto" => print_pareto(outcome),
+        "report" => print_report(outcome)?,
+        _ => println!(
+            "{}",
+            serde_json::to_string_pretty(outcome).map_err(|e| e.to_string())?
+        ),
+    }
+    Ok(())
+}
+
+/// `ddtr pareto`: the step-3 exploration space of every configuration.
+fn print_pareto(outcome: &MethodologyOutcome) {
+    println!("# Pareto exploration spaces of {}", outcome.config.app);
+    for front in &outcome.pareto.per_config {
+        let logs = outcome.step2.logs_for(&front.config_key);
+        println!("\n== {} ==", front.config_key);
+        println!(
+            "{}",
+            render_pareto_chart(&logs, ParetoChartPlane::TimeEnergy)
+        );
+        println!("Pareto-optimal: {}", front.front.len());
+        for p in &front.front {
+            println!("  {:20} {}", p.combo, p.report);
+        }
+    }
+}
+
+/// `ddtr report`: the Table 1 / Table 2 rows and the headline comparison.
+fn print_report(outcome: &MethodologyOutcome) -> Result<(), String> {
+    println!("{}", table1_markdown(&[outcome]));
+    println!("{}", table2_markdown(&[outcome]));
+    let headline = headline_comparison(&outcome.config, outcome).map_err(|e| e.to_string())?;
+    let request = ExploreRequest::Headline(outcome.config.clone());
+    println!("{}", header(&request));
+    print_body(&request, &ExploreResult::Headline(headline));
+    Ok(())
 }
 
 fn profile(rest: &[&String]) -> Result<(), String> {
-    let (app, cfg) = parse_app(rest)?;
+    let ExploreRequest::Explore(cfg) = local_request("profile", rest)? else {
+        unreachable!("an explore spec resolves to an explore request");
+    };
     let report = profile_application(&cfg).map_err(|e| e.to_string())?;
-    println!("# dominant-DDT profile of {app}");
+    println!("# dominant-DDT profile of {}", cfg.app);
     for slot in &report.slots {
         let marker = if report.dominant.contains(&slot.name) {
             "DOMINANT"
@@ -379,102 +622,6 @@ fn profile(rest: &[&String]) -> Result<(), String> {
     println!(
         "dominant set covers {:.1}% of container accesses",
         report.dominant_share * 100.0
-    );
-    Ok(())
-}
-
-fn explore(rest: &[&String]) -> Result<(), String> {
-    let (app, cfg) = parse_app(rest)?;
-    let mut engine = engine_from(rest)?;
-    let outcome = Methodology::new(cfg)
-        .run_with(&mut engine)
-        .map_err(|e| e.to_string())?;
-    write_trace_if_requested(rest)?;
-    if let Some(path) = flag_value(rest, "--logs")? {
-        let file = std::fs::File::create(path.as_str()).map_err(|e| e.to_string())?;
-        write_logs(&outcome.step2.logs, std::io::BufWriter::new(file))
-            .map_err(|e| e.to_string())?;
-        eprintln!("wrote {} step-2 logs to {path}", outcome.step2.logs.len());
-    }
-    if rest.iter().any(|a| a.as_str() == "--json") {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&outcome).map_err(|e| e.to_string())?
-        );
-        return Ok(());
-    }
-    println!("# exploration of {app}");
-    println!(
-        "step 1: {} simulations, {} survivors ({:.0}% pruned)",
-        outcome.step1.measurements.len(),
-        outcome.step1.survivors.len(),
-        outcome.step1.pruned_fraction() * 100.0
-    );
-    println!(
-        "step 2: {} simulations over {} configurations",
-        outcome.step2.simulations(),
-        outcome.config.configurations()
-    );
-    println!(
-        "step 3: {} Pareto-optimal combinations:",
-        outcome.pareto.global_front.len()
-    );
-    for p in &outcome.pareto.global_front {
-        println!("  {:20} {}", p.combo, p.report);
-    }
-    println!(
-        "total: {} of {} exhaustive simulations ({:.0}% reduction)",
-        outcome.counts.reduced,
-        outcome.counts.exhaustive,
-        outcome.counts.reduction() * 100.0
-    );
-    println!("{}", engine_summary(&outcome.engine));
-    Ok(())
-}
-
-fn pareto(rest: &[&String]) -> Result<(), String> {
-    let (app, cfg) = parse_app(rest)?;
-    let mut engine = engine_from(rest)?;
-    let outcome = Methodology::new(cfg)
-        .run_with(&mut engine)
-        .map_err(|e| e.to_string())?;
-    write_trace_if_requested(rest)?;
-    println!("# Pareto exploration spaces of {app}");
-    for front in &outcome.pareto.per_config {
-        let logs = outcome.step2.logs_for(&front.config_key);
-        println!("\n== {} ==", front.config_key);
-        println!(
-            "{}",
-            render_pareto_chart(&logs, ParetoChartPlane::TimeEnergy)
-        );
-        println!("Pareto-optimal: {}", front.front.len());
-        for p in &front.front {
-            println!("  {:20} {}", p.combo, p.report);
-        }
-    }
-    Ok(())
-}
-
-fn report(rest: &[&String]) -> Result<(), String> {
-    let (app, cfg) = parse_app(rest)?;
-    let mut engine = engine_from(rest)?;
-    let outcome = Methodology::new(cfg.clone())
-        .run_with(&mut engine)
-        .map_err(|e| e.to_string())?;
-    write_trace_if_requested(rest)?;
-    println!("{}", table1_markdown(&[&outcome]));
-    println!("{}", table2_markdown(&[&outcome]));
-    let headline = headline_comparison(&cfg, &outcome).map_err(|e| e.to_string())?;
-    println!("# headline vs original ({app}, both dominant DDTs = SLL)");
-    println!(
-        "energy saving (best-energy point {}): {:.0}%",
-        headline.best_energy_combo,
-        headline.energy_saving() * 100.0
-    );
-    println!(
-        "time improvement (best-time point {}): {:.0}%",
-        headline.best_time_combo,
-        headline.time_improvement() * 100.0
     );
     Ok(())
 }
@@ -534,224 +681,6 @@ fn replay(rest: &[&String]) -> Result<(), String> {
     for p in &pareto.global_front {
         println!("  {:20} {}", p.combo, p.report);
     }
-    Ok(())
-}
-
-fn ga(rest: &[&String]) -> Result<(), String> {
-    let app: AppKind = rest
-        .first()
-        .ok_or("missing application name")?
-        .parse()
-        .map_err(|e| format!("{e}"))?;
-    let mut cfg = if rest.iter().any(|a| a.as_str() == "--quick") {
-        GaConfig::quick(app)
-    } else {
-        GaConfig::paper(app)
-    };
-    if rest.iter().any(|a| a.as_str() == "--extended") {
-        cfg.candidates = DdtKind::EXTENDED.to_vec();
-    }
-    if rest.iter().any(|a| a.as_str() == "--stream") {
-        cfg.streaming = true;
-    }
-    if let Some(seed) = flag_value(rest, "--seed")? {
-        cfg.seed = seed.parse().map_err(|e| format!("bad seed: {e}"))?;
-    }
-    if let Some(stall) = flag_value(rest, "--stall")? {
-        cfg.stall_generations = Some(
-            stall
-                .parse()
-                .map_err(|e| format!("bad stall window: {e}"))?,
-        );
-    }
-    if let Some(name) = flag_value(rest, FLAG_MEM)? {
-        cfg.mem = name.parse::<MemoryPreset>()?.config();
-    }
-    let space = cfg.candidates.len().pow(2);
-    let mut engine = engine_from(rest)?;
-    let outcome = explore_heuristic_with(&mut engine, &cfg).map_err(|e| e.to_string())?;
-    write_trace_if_requested(rest)?;
-    println!("# heuristic (NSGA-II) exploration of {app}");
-    println!(
-        "candidates: {} kinds ({} combinations), seed {}",
-        cfg.candidates.len(),
-        space,
-        cfg.seed
-    );
-    for h in &outcome.history {
-        println!(
-            "generation {:2}: {:3} simulations, archive front {:2}",
-            h.generation, h.evaluations, h.front_size
-        );
-    }
-    println!(
-        "\n{} simulations of {} exhaustive ({:.0}% saved); front:",
-        outcome.evaluations,
-        space,
-        100.0 * (1.0 - outcome.evaluations as f64 / space as f64)
-    );
-    for log in &outcome.front {
-        println!("  {:20} {}", log.combo, log.report);
-    }
-    println!("{}", engine_stats_line(&engine));
-    Ok(())
-}
-
-fn scenarios(rest: &[&String]) -> Result<(), String> {
-    let base: NetworkPreset = match flag_value(rest, "--base")? {
-        Some(v) => v.parse()?,
-        None => NetworkPreset::DartmouthBerry,
-    };
-    let mut cfg = if rest.iter().any(|a| a.as_str() == "--quick") {
-        ScenarioConfig::quick(base)
-    } else {
-        ScenarioConfig::paper(base)
-    };
-    if rest.iter().any(|a| a.as_str() == "--extended") {
-        cfg.candidates = DdtKind::EXTENDED.to_vec();
-    }
-    if let Some(app) = scan_app_positional(rest, "scenarios", &["--base", "--packets", FLAG_MEM])? {
-        cfg.apps = vec![app.parse().map_err(|e| format!("{e}"))?];
-    }
-    if let Some(packets) = flag_value(rest, "--packets")? {
-        cfg.packets_per_sim = packets
-            .parse()
-            .map_err(|e| format!("bad packet count: {e}"))?;
-    }
-    if let Some(name) = flag_value(rest, FLAG_MEM)? {
-        cfg.mem = name.parse::<MemoryPreset>()?.config();
-    }
-    let mut engine = engine_from(rest)?;
-    let matrix = explore_scenarios_with(&mut engine, &cfg).map_err(|e| e.to_string())?;
-    write_trace_if_requested(rest)?;
-    println!(
-        "# scenario matrix over {base}: {} apps x {} scenarios, {} packets/sim (streamed)",
-        cfg.apps.len(),
-        cfg.scenarios.len(),
-        cfg.packets_per_sim
-    );
-    for cell in &matrix.cells {
-        println!(
-            "\n== {} under {} ({}) ==",
-            cell.app, cell.scenario, cell.network
-        );
-        println!(
-            "{} combinations evaluated, {} Pareto-optimal:",
-            cell.evaluations,
-            cell.front.len()
-        );
-        for log in &cell.front {
-            println!("  {:20} {}", log.combo, log.report);
-        }
-    }
-    // Scenario columns often shift the front — summarise the shift per app.
-    for &app in &cfg.apps {
-        let mut fronts: Vec<(Scenario, Vec<String>)> = Vec::new();
-        for &scenario in &cfg.scenarios {
-            if let Some(cell) = matrix.cell(app, scenario) {
-                fronts.push((scenario, cell.front_labels()));
-            }
-        }
-        if let Some((_, baseline)) = fronts.first() {
-            let shifted = fronts[1..]
-                .iter()
-                .filter(|(_, labels)| labels != baseline)
-                .count();
-            println!(
-                "\n{app}: {shifted} of {} scenarios shift the Pareto front vs {}",
-                fronts.len().saturating_sub(1),
-                fronts[0].0
-            );
-        }
-    }
-    println!("\n{}", engine_stats_line(&engine));
-    Ok(())
-}
-
-fn sweep(rest: &[&String]) -> Result<(), String> {
-    let base: NetworkPreset = match flag_value(rest, "--base")? {
-        Some(v) => v.parse()?,
-        None => NetworkPreset::DartmouthBerry,
-    };
-    let mut cfg = if rest.iter().any(|a| a.as_str() == "--quick") {
-        SweepConfig::quick(base)
-    } else {
-        SweepConfig::paper(base)
-    };
-    if rest.iter().any(|a| a.as_str() == "--extended") {
-        cfg.candidates = DdtKind::EXTENDED.to_vec();
-    }
-    if let Some(app) = scan_app_positional(
-        rest,
-        "sweep",
-        &["--base", "--packets", FLAG_MEM, "--scenario"],
-    )? {
-        cfg.apps = vec![app.parse().map_err(|e| format!("{e}"))?];
-    }
-    let scenario_names = repeated_flag_values(rest, "--scenario")?;
-    if !scenario_names.is_empty() {
-        cfg.scenarios = scenario_names
-            .iter()
-            .map(|n| n.parse::<Scenario>())
-            .collect::<Result<_, _>>()?;
-    }
-    if let Some(packets) = flag_value(rest, "--packets")? {
-        cfg.packets_per_sim = packets
-            .parse()
-            .map_err(|e| format!("bad packet count: {e}"))?;
-    }
-    if let Some(list) = flag_value(rest, FLAG_MEM)? {
-        cfg.mem_presets = list
-            .split(',')
-            .map(|n| n.parse::<MemoryPreset>())
-            .collect::<Result<_, _>>()?;
-    }
-    let mut engine = engine_from(rest)?;
-    println!(
-        "# platform sweep over {base}: {} apps x {} scenarios x {} platforms, {} packets/sim (streamed)",
-        cfg.apps.len(),
-        cfg.scenarios.len(),
-        cfg.mem_presets.len(),
-        cfg.packets_per_sim
-    );
-    // Cells print as they complete — the sweep streams on the CLI too.
-    let matrix = explore_sweep_observed(&mut engine, &cfg, |cell, done, total| {
-        println!(
-            "\n== [{done}/{total}] {} under {} on {} ({}) ==",
-            cell.app, cell.scenario, cell.mem, cell.network
-        );
-        println!(
-            "{} combinations evaluated, {} Pareto-optimal:",
-            cell.evaluations,
-            cell.front.len()
-        );
-        for log in &cell.front {
-            println!("  {:20} {}", log.combo, log.report);
-        }
-    })
-    .map_err(|e| e.to_string())?;
-    write_trace_if_requested(rest)?;
-    // The cross-platform answer: who survives on how many cells?
-    let cells = matrix.cells.len();
-    println!("\n# cross-platform survivors ({cells} cells)");
-    for s in &matrix.survivors {
-        let marker = if s.cells_on_front == cells {
-            "  [every cell]"
-        } else {
-            ""
-        };
-        println!(
-            "  {:20} on {:3} of {cells} fronts{marker}",
-            s.combo, s.cells_on_front
-        );
-    }
-    let robust = matrix.robust_combos(cells);
-    println!(
-        "{} of {} front combinations survive the whole platform family",
-        robust.len(),
-        matrix.survivors.len()
-    );
-    println!("\n{}", engine_stats_line(&engine));
     Ok(())
 }
 
@@ -932,79 +861,9 @@ fn loadtest(rest: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the `Run` job spec of a `ddtr query` invocation from its
-/// CLI-style arguments (everything after the endpoint).
-/// Query flags that consume a value. The positional scanner in
-/// [`query_spec`] skips exactly these constants, and the extraction below
-/// it reads the same names through [`flag_value`], so adding a
-/// value-taking query flag cannot desynchronise the two.
-const QUERY_VALUE_FLAGS: [&str; 6] = [
-    "--base",
-    "--packets",
-    "--seed",
-    "--scenario",
-    "--id",
-    FLAG_MEM,
-];
-
-fn query_spec(rest: &[&String]) -> Result<JobSpec, String> {
-    let mut spec = JobSpec::default();
-    let mut positionals: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--quick" => spec.quick = true,
-            "--extended" => spec.extended = true,
-            "--stream" => spec.stream = true,
-            "--json" | "--quiet" => {} // handled by `query` itself
-            flag if QUERY_VALUE_FLAGS.contains(&flag) => i += 1,
-            flag if flag.starts_with("--") => return Err(format!("unknown query flag `{flag}`")),
-            _ => positionals.push(rest[i]),
-        }
-        i += 1;
-    }
-    match positionals.as_slice() {
-        [] => return Err("query needs a mode (explore, ga, scenarios, sweep or headline)".into()),
-        [mode] => spec.mode = Some((*mode).clone()),
-        [mode, app] => {
-            spec.mode = Some((*mode).clone());
-            spec.app = Some((*app).clone());
-        }
-        more => {
-            return Err(format!(
-                "query takes mode [app], got {} positionals",
-                more.len()
-            ))
-        }
-    }
-    spec.base = flag_value(rest, "--base")?.cloned();
-    if let Some(packets) = flag_value(rest, "--packets")? {
-        spec.packets = Some(
-            packets
-                .parse()
-                .map_err(|e| format!("bad packet count: {e}"))?,
-        );
-    }
-    if let Some(seed) = flag_value(rest, "--seed")? {
-        spec.seed = Some(seed.parse().map_err(|e| format!("bad seed: {e}"))?);
-    }
-    // `--scenario` may repeat; collect every occurrence.
-    let scenarios = repeated_flag_values(rest, "--scenario")?;
-    if !scenarios.is_empty() {
-        spec.scenarios = Some(scenarios.into_iter().cloned().collect());
-    }
-    // `--mem` takes one preset (single-platform modes) or a
-    // comma-separated platform axis (sweep); the spec carries the list
-    // and the server enforces arity per mode.
-    if let Some(list) = flag_value(rest, FLAG_MEM)? {
-        spec.mem = Some(list.split(',').map(str::to_string).collect());
-    }
-    Ok(spec)
-}
-
 /// Fetches the server's metrics exposition (Prometheus-style text) and
 /// prints it verbatim. `metrics` is not an exploration mode, so it skips
-/// [`query_spec`] entirely.
+/// [`spec_from`] entirely.
 fn query_metrics(endpoint: &Endpoint, rest: &[&String]) -> Result<(), String> {
     let id = flag_value(rest, "--id")?
         .cloned()
@@ -1031,9 +890,10 @@ fn query(rest: &[&String]) -> Result<(), String> {
     if rest.get(1).is_some_and(|m| m.as_str() == "metrics") {
         return query_metrics(&endpoint, &rest[2..]);
     }
-    let spec = query_spec(&rest[1..])?;
-    // Validate locally first for a fast, offline error message.
-    spec.resolve().map_err(|e| e.to_string())?;
+    let spec = spec_from("query", None, &rest[1..], &["--id"], &["--json", "--quiet"])?;
+    // Resolve locally first, for a fast, offline error message and the
+    // request the renderer prints the answer against.
+    let request = spec.resolve().map_err(|e| e.to_string())?;
     let id = flag_value(rest, "--id")?
         .cloned()
         .unwrap_or_else(|| "q1".to_string());
@@ -1094,24 +954,8 @@ fn query(rest: &[&String]) -> Result<(), String> {
                 );
             } else {
                 println!("# {} answered by {endpoint}", result.mode());
+                print_body(&request, &result);
                 println!("engine: cache_hits={cache_hits} executed={executed}");
-                if let ExploreResult::Sweep(matrix) = result.as_ref() {
-                    // The aggregated cross-platform answer (the per-cell
-                    // fronts already streamed as Cell events).
-                    let cells = matrix.cells.len();
-                    println!("cross-platform survivors ({cells} cells):");
-                    for s in &matrix.survivors {
-                        println!(
-                            "  {:20} on {:3} of {cells} fronts",
-                            s.combo, s.cells_on_front
-                        );
-                    }
-                } else {
-                    println!("Pareto-optimal combinations:");
-                    for label in result.front_labels() {
-                        println!("  {label}");
-                    }
-                }
             }
             Ok(())
         }
@@ -1211,9 +1055,29 @@ fn cache(rest: &[&String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ddtr_apps::AppKind;
+    use ddtr_core::{GaConfig, MethodologyConfig, ScenarioConfig, SweepConfig};
+    use ddtr_ddt::DdtKind;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| (*s).to_string()).collect()
+    }
+
+    /// `ddtr <cmdline>`, split on whitespace.
+    fn ddtr(cmdline: &str) -> Result<(), String> {
+        run(&args(&cmdline.split_whitespace().collect::<Vec<_>>()))
+    }
+
+    /// The request `ddtr <cmdline>` runs, resolved the way the subcommand
+    /// resolves it.
+    fn resolved(cmdline: &str) -> Result<ExploreRequest, String> {
+        let owned = args(&cmdline.split_whitespace().collect::<Vec<_>>());
+        let rest: Vec<&String> = owned[1..].iter().collect();
+        local_request(&owned[0], &rest)
+    }
+
+    fn json(request: &ExploreRequest) -> String {
+        serde_json::to_string(request).expect("serialise")
     }
 
     #[test]
@@ -1234,16 +1098,89 @@ mod tests {
     }
 
     #[test]
-    fn parse_app_selects_quick_config() {
-        let binding = args(&["drr", "--quick"]);
-        let rest: Vec<&String> = binding.iter().collect();
-        let (app, cfg) = parse_app(&rest).expect("parses");
-        assert_eq!(app, AppKind::Drr);
-        assert_eq!(cfg.networks.len(), 2, "quick config uses two networks");
-        let binding = args(&["drr"]);
-        let rest: Vec<&String> = binding.iter().collect();
-        let (_, cfg) = parse_app(&rest).expect("parses");
-        assert_eq!(cfg.networks.len(), 5, "paper config uses the full sweep");
+    fn local_subcommands_run_the_configs_they_always_ran() {
+        // Each expectation is built the way the subcommands built their
+        // configs before they resolved a `JobSpec`: the preset plus
+        // the same field edits.
+        let mut explore = MethodologyConfig::quick(AppKind::Drr);
+        explore.candidates = DdtKind::EXTENDED.to_vec();
+        explore.streaming = true;
+        explore.mem = MemoryPreset::Deep.config();
+        let mut ga = GaConfig::quick(AppKind::Url);
+        ga.seed = 7;
+        ga.stall_generations = Some(3);
+        ga.mem = MemoryPreset::L2.config();
+        let mut scenarios = ScenarioConfig::quick(NetworkPreset::DartmouthSudikoff);
+        scenarios.apps = vec![AppKind::Drr];
+        scenarios.packets_per_sim = 40;
+        let mut sweep = SweepConfig::quick(NetworkPreset::DartmouthBerry);
+        sweep.apps = vec![AppKind::Drr];
+        sweep.packets_per_sim = 40;
+        sweep.mem_presets = vec![MemoryPreset::Embedded, MemoryPreset::Deep];
+        sweep.scenarios = vec![Scenario::Bursty];
+        let cases = [
+            (
+                "explore drr",
+                ExploreRequest::Explore(MethodologyConfig::paper(AppKind::Drr)),
+            ),
+            (
+                "explore drr --quick --extended --stream --mem deep",
+                ExploreRequest::Explore(explore),
+            ),
+            (
+                "ga url --quick --seed 7 --stall 3 --mem l2",
+                ExploreRequest::Ga(ga),
+            ),
+            (
+                "scenarios drr --quick --base SUD --packets 40",
+                ExploreRequest::Scenarios(scenarios),
+            ),
+            (
+                "sweep drr --quick --packets 40 --mem embedded,deep --scenario bursty",
+                ExploreRequest::Sweep(sweep),
+            ),
+        ];
+        for (cmdline, expected) in cases {
+            let got = resolved(cmdline).expect("resolves");
+            assert_eq!(json(&got), json(&expected), "{cmdline}");
+        }
+    }
+
+    #[test]
+    fn misspelt_flags_are_rejected_not_ignored() {
+        let err = ddtr("explore drr --quick --no-cache --sead 3").unwrap_err();
+        assert!(err.contains("unknown explore flag `--sead`"), "{err}");
+    }
+
+    #[test]
+    fn flags_a_mode_does_not_take_are_rejected_as_query_rejects_them() {
+        let local = ddtr("ga drr --quick --no-cache --packets 5").unwrap_err();
+        assert!(
+            local.contains("`packets` does not apply to mode `ga`"),
+            "{local}"
+        );
+        let remote = ddtr("query tcp:127.0.0.1:1 ga drr --quick --packets 5").unwrap_err();
+        assert_eq!(local, remote);
+    }
+
+    #[test]
+    fn the_application_may_follow_the_flags() {
+        for (after, before) in [
+            ("explore --quick drr", "explore drr --quick"),
+            (
+                "scenarios --quick --packets 30 url",
+                "scenarios url --quick --packets 30",
+            ),
+        ] {
+            let after = resolved(after).expect("app after flags");
+            assert_eq!(json(&after), json(&resolved(before).expect("app first")));
+        }
+    }
+
+    #[test]
+    fn single_platform_subcommands_take_exactly_one_mem_preset() {
+        let err = ddtr("explore drr --quick --no-cache --mem deep,spm").unwrap_err();
+        assert!(err.contains("takes exactly one `mem` preset"), "{err}");
     }
 
     #[test]
@@ -1267,14 +1204,6 @@ mod tests {
     #[test]
     fn profile_quick_runs_end_to_end() {
         run(&args(&["profile", "drr", "--quick"])).expect("profiles");
-    }
-
-    #[test]
-    fn parse_app_honours_extended_flag() {
-        let binding = args(&["drr", "--quick", "--extended"]);
-        let rest: Vec<&String> = binding.iter().collect();
-        let (_, cfg) = parse_app(&rest).expect("parses");
-        assert_eq!(cfg.candidates.len(), 12);
     }
 
     #[test]
@@ -1326,18 +1255,6 @@ mod tests {
         .expect("explores");
         run(&args(&["replay", &path_str])).expect("replays");
         let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn parse_app_honours_stream_flag() {
-        let binding = args(&["drr", "--quick", "--stream"]);
-        let rest: Vec<&String> = binding.iter().collect();
-        let (_, cfg) = parse_app(&rest).expect("parses");
-        assert!(cfg.streaming);
-        let binding = args(&["drr", "--quick"]);
-        let rest: Vec<&String> = binding.iter().collect();
-        let (_, cfg) = parse_app(&rest).expect("parses");
-        assert!(!cfg.streaming);
     }
 
     #[test]
@@ -1404,19 +1321,6 @@ mod tests {
     }
 
     #[test]
-    fn scenarios_accepts_app_after_flags() {
-        run(&args(&[
-            "scenarios",
-            "--quick",
-            "--packets",
-            "30",
-            "--no-cache",
-            "url",
-        ]))
-        .expect("app after flags restricts the matrix to one row");
-    }
-
-    #[test]
     fn sweep_quick_runs_end_to_end() {
         run(&args(&[
             "sweep",
@@ -1473,11 +1377,6 @@ mod tests {
 
     #[test]
     fn mem_flag_selects_the_platform_on_simulating_subcommands() {
-        let binding = args(&["drr", "--quick", "--mem", "deep"]);
-        let rest: Vec<&String> = binding.iter().collect();
-        let (_, cfg) = parse_app(&rest).expect("parses");
-        assert!(cfg.mem.l2.is_some(), "deep preset carries an L2");
-        assert_eq!(cfg.mem.l1.capacity_bytes, 16 * 1024);
         // Unknown names are rejected with the catalog.
         let err = run(&args(&["explore", "drr", "--quick", "--mem", "nope"])).unwrap_err();
         assert!(err.contains("nope") && err.contains("spm"), "{err}");

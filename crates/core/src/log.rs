@@ -22,7 +22,8 @@ pub fn write_logs<W: Write>(logs: &[SimLog], mut w: W) -> Result<(), ExploreErro
         let line = serde_json::to_string(log).map_err(|e| ExploreError::Log(e.to_string()))?;
         writeln!(w, "{line}").map_err(|e| ExploreError::Log(e.to_string()))?;
     }
-    Ok(())
+    // A dropped `BufWriter` would swallow the error of its final write.
+    w.flush().map_err(|e| ExploreError::Log(e.to_string()))
 }
 
 /// Reads JSON-lines logs written by [`write_logs`]. Blank lines are

@@ -273,8 +273,9 @@ pub enum RequestBody {
 /// One exploration to schedule: either a full inline configuration or an
 /// app/mode preset with CLI-equivalent flags.
 ///
-/// Preset resolution mirrors the CLI exactly: `mode` is one of
-/// `"explore"`, `"ga"`, `"scenarios"`, `"sweep"`, `"headline"`; `quick`
+/// The CLI's simulating subcommands parse their flags into this same
+/// spec, so preset resolution is the CLI's by construction: `mode` is
+/// one of `"explore"`, `"ga"`, `"scenarios"`, `"sweep"`, `"headline"`; `quick`
 /// selects the reduced configuration; `extended` widens the DDT candidate
 /// set; `stream` generates packets on the fly; `mem` names platform
 /// presets from the [`MemoryPreset`] catalog (one for the single-platform
@@ -286,11 +287,12 @@ pub struct JobSpec {
     /// absent.
     #[serde(default)]
     pub inline: Option<ExploreRequest>,
-    /// Exploration mode: `explore`, `ga`, `scenarios` or `headline`.
+    /// Exploration mode: `explore`, `ga`, `scenarios`, `sweep` or
+    /// `headline`.
     #[serde(default)]
     pub mode: Option<String>,
     /// Application preset (required for `explore`/`ga`/`headline`;
-    /// optional row restriction for `scenarios`).
+    /// optional row restriction for `scenarios`/`sweep`).
     #[serde(default)]
     pub app: Option<String>,
     /// Use the reduced (`--quick`) configuration.
