@@ -8,7 +8,7 @@
 //! Run with `cargo run -p ddtr-bench --bin ablation_burst --release`.
 
 use ddtr_apps::{AppKind, AppParams};
-use ddtr_core::{all_combos, combo_label, Simulator};
+use ddtr_core::{all_combos, combo_label, Simulator, TraceSource};
 use ddtr_mem::MemoryConfig;
 use ddtr_pareto::pareto_front_indices;
 use ddtr_trace::{BurstProfile, TraceGenerator, TraceSpec};
@@ -29,11 +29,12 @@ fn spec(burst: Option<BurstProfile>) -> TraceSpec {
 fn sweep(burst: Option<BurstProfile>) -> (BTreeSet<String>, f64) {
     let sim = Simulator::new(MemoryConfig::embedded_default());
     let trace = TraceGenerator::new(spec(burst)).generate(400);
+    let source = TraceSource::Materialized(&trace);
     let params = AppParams::default();
     let mut labels = Vec::new();
     let mut points = Vec::new();
     for combo in all_combos() {
-        let log = sim.run(AppKind::Url, combo, &params, &trace);
+        let (log, _) = sim.run(AppKind::Url, combo, &params, source);
         labels.push(combo_label(combo));
         points.push(log.objectives());
     }

@@ -6,13 +6,14 @@
 //! Run with `cargo run -p ddtr-bench --bin ablation_fairness --release`.
 
 use ddtr_apps::{AppKind, AppParams};
-use ddtr_core::{all_combos, combo_label, Simulator};
+use ddtr_core::{all_combos, combo_label, Simulator, TraceSource};
 use ddtr_mem::MemoryConfig;
 use ddtr_trace::NetworkPreset;
 
 fn main() {
     let trace = NetworkPreset::DartmouthDorm.generate(400);
     let sim = Simulator::new(MemoryConfig::embedded_default());
+    let source = TraceSource::Materialized(&trace);
     println!(
         "Ablation — DRR quantum (level of fairness) sweep, {} trace\n",
         trace.network
@@ -28,7 +29,7 @@ fn main() {
         };
         let mut best: Option<(String, f64, u64, u64)> = None;
         for combo in all_combos() {
-            let log = sim.run(AppKind::Drr, combo, &params, &trace);
+            let (log, _) = sim.run(AppKind::Drr, combo, &params, source);
             let better = best
                 .as_ref()
                 .is_none_or(|(_, e, _, _)| log.report.energy_nj < *e);

@@ -6,7 +6,7 @@
 //! Run with `cargo run -p ddtr-bench --bin ablation_ga --release`.
 
 use ddtr_apps::{AppKind, AppParams};
-use ddtr_core::{all_combos, combo_label, explore_heuristic, GaConfig, Simulator};
+use ddtr_core::{all_combos, combo_label, explore_heuristic, GaConfig, Simulator, TraceSource};
 use ddtr_mem::MemoryConfig;
 use ddtr_pareto::pareto_front_indices;
 use ddtr_trace::NetworkPreset;
@@ -22,7 +22,7 @@ fn true_front(packets: usize) -> BTreeSet<String> {
     let mut labels = Vec::new();
     let mut points = Vec::new();
     for combo in all_combos() {
-        let log = sim.run(APP, combo, &params, &trace);
+        let (log, _) = sim.run(APP, combo, &params, TraceSource::Materialized(&trace));
         labels.push(combo_label(combo));
         points.push(log.objectives());
     }

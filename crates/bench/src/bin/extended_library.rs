@@ -7,7 +7,7 @@
 //! Run with `cargo run -p ddtr-bench --bin extended_library --release`.
 
 use ddtr_apps::{AppKind, AppParams};
-use ddtr_core::{combo_label, combos_from, Simulator};
+use ddtr_core::{combo_label, combos_from, Simulator, TraceSource};
 use ddtr_ddt::DdtKind;
 use ddtr_mem::MemoryConfig;
 use ddtr_pareto::pareto_front_indices;
@@ -24,7 +24,7 @@ fn main() {
         let mut labels = Vec::new();
         let mut points = Vec::new();
         for combo in combos_from(&DdtKind::EXTENDED) {
-            let log = sim.run(app, combo, &params, &trace);
+            let (log, _) = sim.run(app, combo, &params, TraceSource::Materialized(&trace));
             labels.push((combo_label(combo), combo));
             points.push(log.objectives());
         }

@@ -12,7 +12,7 @@
 //! Run with `cargo run -p ddtr-bench --bin heuristic --release`.
 
 use ddtr_apps::{AppKind, AppParams};
-use ddtr_core::{all_combos, combo_label, explore_heuristic, GaConfig, Simulator};
+use ddtr_core::{all_combos, combo_label, explore_heuristic, GaConfig, Simulator, TraceSource};
 use ddtr_mem::MemoryConfig;
 use ddtr_pareto::{hypervolume, hypervolume_2d, pareto_front_indices};
 use ddtr_trace::NetworkPreset;
@@ -27,7 +27,7 @@ fn exhaustive_front(app: AppKind, cfg: &GaConfig) -> (BTreeSet<String>, Vec<[f64
     let mut labels = Vec::new();
     let mut points4 = Vec::new();
     for combo in all_combos() {
-        let log = sim.run(app, combo, &params, &trace);
+        let (log, _) = sim.run(app, combo, &params, TraceSource::Materialized(&trace));
         labels.push(combo_label(combo));
         points4.push(log.objectives());
     }

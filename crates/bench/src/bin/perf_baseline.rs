@@ -16,6 +16,7 @@
 use ddtr_apps::{AppKind, AppParams};
 use ddtr_core::{
     EngineConfig, ExploreEngine, Methodology, MethodologyConfig, MethodologyOutcome, Simulator,
+    TraceSource,
 };
 use ddtr_ddt::DdtKind;
 use ddtr_engine::timing::{time_secs, BenchReport};
@@ -125,8 +126,9 @@ fn main() {
     for packets in [100_000usize, 1_000_000] {
         let spec = StreamSpec::single(NetworkPreset::DartmouthDorm.spec(), packets)
             .expect("preset specs are valid");
-        let (log, secs) =
-            time_secs(|| sim.run_spec(AppKind::Drr, [DdtKind::Sll, DdtKind::Dll], &params, &spec));
+        let source = TraceSource::Streamed(&spec);
+        let ((log, _), secs) =
+            time_secs(|| sim.run(AppKind::Drr, [DdtKind::Sll, DdtKind::Dll], &params, source));
         println!(
             "{packets:>9} packets   {secs:8.3}s   {:.0} pkts/s",
             packets as f64 / secs

@@ -16,7 +16,7 @@
 //! without procfs it reports 0 and the CI comparison is skipped.
 
 use ddtr_apps::{AppKind, AppParams};
-use ddtr_core::Simulator;
+use ddtr_core::{Simulator, TraceSource};
 use ddtr_ddt::DdtKind;
 use ddtr_mem::MemoryConfig;
 use ddtr_trace::{NetworkPreset, StreamSpec};
@@ -44,7 +44,8 @@ fn main() {
     let sim = Simulator::new(MemoryConfig::embedded_default());
     let params = AppParams::default();
     let start = Instant::now();
-    let log = sim.run_spec(AppKind::Drr, [DdtKind::Sll, DdtKind::Dll], &params, &spec);
+    let source = TraceSource::Streamed(&spec);
+    let (log, _) = sim.run(AppKind::Drr, [DdtKind::Sll, DdtKind::Dll], &params, source);
     let seconds = start.elapsed().as_secs_f64();
     assert!(log.report.accesses > 0, "simulation must do work");
     println!(

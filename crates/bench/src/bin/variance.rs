@@ -13,7 +13,7 @@
 //! Run with `cargo run -p ddtr-bench --bin variance --release`.
 
 use ddtr_apps::{AppKind, AppParams};
-use ddtr_core::Simulator;
+use ddtr_core::{Simulator, TraceSource};
 use ddtr_ddt::DdtKind;
 use ddtr_mem::MemoryConfig;
 use ddtr_trace::{NetworkPreset, TraceGenerator};
@@ -49,8 +49,9 @@ fn main() {
             let mut spec = NetworkPreset::DartmouthBerry.spec();
             spec.seed = spec.seed.wrapping_add(seed * 7919);
             let trace = TraceGenerator::new(spec).generate(400);
-            let orig = sim.run(app, [DdtKind::Sll, DdtKind::Sll], &params, &trace);
-            let refined = sim.run(app, [DdtKind::Array, DdtKind::SllChunk], &params, &trace);
+            let source = TraceSource::Materialized(&trace);
+            let (orig, _) = sim.run(app, [DdtKind::Sll, DdtKind::Sll], &params, source);
+            let (refined, _) = sim.run(app, [DdtKind::Array, DdtKind::SllChunk], &params, source);
             let o = orig.objectives();
             for (d, series) in metrics.iter_mut().enumerate() {
                 series.push(o[d]);

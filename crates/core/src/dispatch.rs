@@ -138,16 +138,6 @@ impl ExploreResult {
     }
 }
 
-/// Runs one request on a fresh in-memory engine. See [`dispatch_with`].
-///
-/// # Errors
-///
-/// Returns [`ExploreError`] when the configuration is invalid or the run
-/// fails.
-pub fn dispatch(request: &ExploreRequest) -> Result<ExploreResult, ExploreError> {
-    dispatch_with(&mut ExploreEngine::in_memory(), request)
-}
-
 /// Runs one request on an explicit engine — the single execution path
 /// behind the CLI's simulating subcommands and every `ddtr serve`
 /// request.
@@ -165,11 +155,12 @@ pub fn dispatch(request: &ExploreRequest) -> Result<ExploreResult, ExploreError>
 /// # Example
 ///
 /// ```
-/// use ddtr_core::{dispatch, ExploreRequest, ExploreResult, MethodologyConfig};
+/// use ddtr_core::{dispatch_with, ExploreEngine, ExploreRequest, ExploreResult, MethodologyConfig};
 /// use ddtr_apps::AppKind;
 ///
 /// let request = ExploreRequest::Explore(MethodologyConfig::quick(AppKind::Drr));
-/// let ExploreResult::Explore(outcome) = dispatch(&request)? else {
+/// let ExploreResult::Explore(outcome) = dispatch_with(&mut ExploreEngine::in_memory(), &request)?
+/// else {
 ///     unreachable!("explore requests produce explore results");
 /// };
 /// assert!(!outcome.pareto.global_front.is_empty());
@@ -247,7 +238,11 @@ mod tests {
     fn dispatch_matches_the_direct_entry_points() {
         let cfg = MethodologyConfig::quick(AppKind::Drr);
         let direct = Methodology::new(cfg.clone()).run().expect("direct");
-        let via = dispatch(&ExploreRequest::Explore(cfg)).expect("dispatched");
+        let via = dispatch_with(
+            &mut ExploreEngine::in_memory(),
+            &ExploreRequest::Explore(cfg),
+        )
+        .expect("dispatched");
         let ExploreResult::Explore(outcome) = &via else {
             panic!("wrong result mode {}", via.mode());
         };
@@ -265,7 +260,11 @@ mod tests {
         cfg.apps = vec![AppKind::Drr];
         cfg.scenarios = vec![ddtr_trace::Scenario::Baseline];
         cfg.packets_per_sim = 40;
-        let result = dispatch(&ExploreRequest::Scenarios(cfg)).expect("matrix");
+        let result = dispatch_with(
+            &mut ExploreEngine::in_memory(),
+            &ExploreRequest::Scenarios(cfg),
+        )
+        .expect("matrix");
         let json = serde_json::to_string(&result).expect("ser");
         let back: ExploreResult = serde_json::from_str(&json).expect("de");
         assert_eq!(back.front_labels(), result.front_labels());
@@ -309,6 +308,6 @@ mod tests {
         cfg.packets_per_sim = 0;
         let request = ExploreRequest::Explore(cfg);
         assert!(request.validate().is_err());
-        assert!(dispatch(&request).is_err());
+        assert!(dispatch_with(&mut ExploreEngine::in_memory(), &request).is_err());
     }
 }

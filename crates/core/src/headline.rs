@@ -76,13 +76,15 @@ fn relative_gain(baseline: f64, improved: f64) -> f64 {
 ///
 /// # Errors
 ///
-/// Returns [`ExploreError::InvalidConfig`] if the outcome has an empty
-/// Pareto front (cannot happen for outcomes produced by
-/// [`crate::Methodology::run`]).
+/// Returns [`ExploreError::InvalidConfig`] when the configuration fails
+/// validation (no network or parameter variant leaves nothing to average
+/// the baseline over), or if the outcome has an empty Pareto front (cannot
+/// happen for outcomes produced by [`crate::Methodology::run`]).
 pub fn headline_comparison(
     cfg: &MethodologyConfig,
     outcome: &MethodologyOutcome,
 ) -> Result<HeadlineReport, ExploreError> {
+    cfg.validate()?;
     let best_energy = outcome
         .pareto
         .best_by(0)
@@ -98,7 +100,8 @@ pub fn headline_comparison(
         // the memory behaviour of the pipeline the outcome came from.
         let workload = Workload::build(network.spec(), cfg.packets_per_sim, cfg.streaming)?;
         for params in &cfg.param_variants {
-            let log = workload.run(&sim, cfg.app, [DdtKind::Sll, DdtKind::Sll], params);
+            let combo = [DdtKind::Sll, DdtKind::Sll];
+            let (log, _) = sim.run(cfg.app, combo, params, workload.source());
             reports.push(log.report);
         }
     }
@@ -156,6 +159,15 @@ mod tests {
             serde_json::to_string(&streamed).expect("ser"),
             serde_json::to_string(&materialized).expect("ser"),
         );
+    }
+
+    #[test]
+    fn invalid_config_is_an_error_not_a_nan_baseline() {
+        let mut cfg = MethodologyConfig::quick(AppKind::Drr);
+        let outcome = Methodology::new(cfg.clone()).run().expect("pipeline");
+        cfg.networks.clear();
+        let err = headline_comparison(&cfg, &outcome).unwrap_err();
+        assert!(matches!(err, ExploreError::InvalidConfig(_)), "{err}");
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub use ddtr_engine::{
     EngineSession, ExploreEngine, SimLog, SimUnit, Simulator, TraceSource,
 };
 pub use ddtr_mem::MemoryPreset;
-pub use dispatch::{dispatch, dispatch_observed, dispatch_with, ExploreRequest, ExploreResult};
+pub use dispatch::{dispatch_observed, dispatch_with, ExploreRequest, ExploreResult};
 pub use error::ExploreError;
 pub use ga::{explore_heuristic, explore_heuristic_with, GaConfig, GaOutcome, GenerationStats};
 pub use headline::{headline_comparison, HeadlineReport};

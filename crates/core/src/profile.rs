@@ -61,8 +61,8 @@ pub fn profile_application(cfg: &MethodologyConfig) -> Result<ProfileReport, Exp
         cfg.packets_per_sim,
         cfg.streaming,
     )?;
-    let (_, mut slots) =
-        workload.run_with_profiles(&sim, cfg.app, [DdtKind::Sll, DdtKind::Sll], params);
+    let combo = [DdtKind::Sll, DdtKind::Sll];
+    let (_, mut slots) = sim.run(cfg.app, combo, params, workload.source());
     slots.sort_by_key(|s| std::cmp::Reverse(s.counts.accesses));
     let total: u64 = slots.iter().map(|s| s.counts.accesses).sum();
     let mut dominant = Vec::new();

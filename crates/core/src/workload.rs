@@ -10,9 +10,7 @@
 //! [`TraceGenerator::try_new`] instead of panicking constructors.
 
 use crate::error::ExploreError;
-use ddtr_apps::{AppKind, AppParams, SlotProfile};
-use ddtr_engine::{Combo, SimLog, Simulator, TraceSource};
-use ddtr_mem::CostReport;
+use ddtr_engine::TraceSource;
 use ddtr_trace::{NetworkParams, StreamSpec, Trace, TraceError, TraceGenerator, TraceSpec};
 
 /// A built workload: either the materialized packets or their streamed
@@ -57,38 +55,6 @@ impl Workload {
         match self {
             Workload::Materialized(trace) => NetworkParams::extract(trace),
             Workload::Streamed(spec) => NetworkParams::extract_stream(spec.name(), spec.stream()),
-        }
-    }
-
-    /// Runs one simulation over this workload (the baseline runs of the
-    /// headline comparison).
-    pub(crate) fn run(
-        &self,
-        sim: &Simulator,
-        app: AppKind,
-        combo: Combo,
-        params: &AppParams,
-    ) -> SimLog {
-        match self {
-            Workload::Materialized(trace) => sim.run(app, combo, params, trace),
-            Workload::Streamed(spec) => sim.run_spec(app, combo, params, spec),
-        }
-    }
-
-    /// Runs one simulation over this workload, returning the cost report
-    /// and per-slot access profiles (the profiling substep).
-    pub(crate) fn run_with_profiles(
-        &self,
-        sim: &Simulator,
-        app: AppKind,
-        combo: Combo,
-        params: &AppParams,
-    ) -> (CostReport, Vec<SlotProfile>) {
-        match self {
-            Workload::Materialized(trace) => sim.run_with_profiles(app, combo, params, trace),
-            Workload::Streamed(spec) => {
-                sim.run_stream_with_profiles(app, combo, params, spec.stream())
-            }
         }
     }
 }

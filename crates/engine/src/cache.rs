@@ -393,11 +393,11 @@ mod tests {
             fingerprint_trace(&trace),
             &MemoryConfig::embedded_default(),
         );
-        let log = crate::Simulator::new(MemoryConfig::embedded_default()).run(
+        let (log, _) = crate::Simulator::new(MemoryConfig::embedded_default()).run(
             AppKind::Drr,
             combo,
             &params,
-            &trace,
+            crate::TraceSource::Materialized(&trace),
         );
         (key, log)
     }

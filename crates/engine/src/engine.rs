@@ -105,22 +105,9 @@ pub struct SimUnit<'a> {
 }
 
 impl<'a> SimUnit<'a> {
-    /// Builds a materialized-trace unit, fingerprinting the trace. When
-    /// many units share one trace, prefer [`SimUnit::with_fingerprint`]
-    /// with a precomputed fingerprint.
-    #[must_use]
-    pub fn new(
-        app: AppKind,
-        combo: Combo,
-        params: &'a AppParams,
-        trace: &'a Trace,
-        mem: MemoryConfig,
-    ) -> Self {
-        Self::with_fingerprint(app, combo, params, trace, fingerprint_trace(trace), mem)
-    }
-
     /// Builds a materialized-trace unit with a precomputed trace
-    /// fingerprint.
+    /// fingerprint ([`fingerprint_trace`], computed once per trace and
+    /// shared across the batch).
     #[must_use]
     pub fn with_fingerprint(
         app: AppKind,
@@ -136,27 +123,6 @@ impl<'a> SimUnit<'a> {
             params,
             TraceSource::Materialized(trace),
             trace_fp,
-            mem,
-        )
-    }
-
-    /// Builds a streamed unit, fingerprinting the workload spec (cheap —
-    /// constant in the packet count). When many units share one spec,
-    /// prefer [`SimUnit::from_source`] with a precomputed fingerprint.
-    #[must_use]
-    pub fn streamed(
-        app: AppKind,
-        combo: Combo,
-        params: &'a AppParams,
-        spec: &'a StreamSpec,
-        mem: MemoryConfig,
-    ) -> Self {
-        Self::from_source(
-            app,
-            combo,
-            params,
-            TraceSource::Streamed(spec),
-            fingerprint_stream_spec(spec),
             mem,
         )
     }
@@ -197,11 +163,9 @@ impl<'a> SimUnit<'a> {
 
     /// Runs this unit's simulation (used by the engine's worker pool).
     fn simulate(&self) -> SimLog {
-        let sim = Simulator::new(self.mem);
-        match self.source {
-            TraceSource::Materialized(trace) => sim.run(self.app, self.combo, self.params, trace),
-            TraceSource::Streamed(spec) => sim.run_spec(self.app, self.combo, self.params, spec),
-        }
+        Simulator::new(self.mem)
+            .run(self.app, self.combo, self.params, self.source)
+            .0
     }
 }
 
@@ -212,20 +176,18 @@ impl<'a> SimUnit<'a> {
 /// # Example
 ///
 /// ```
-/// use ddtr_engine::{EngineConfig, ExploreEngine, SimUnit};
+/// use ddtr_engine::{fingerprint_trace, EngineConfig, ExploreEngine, SimUnit};
 /// use ddtr_apps::{AppKind, AppParams};
 /// use ddtr_ddt::DdtKind;
 /// use ddtr_mem::MemoryConfig;
 /// use ddtr_trace::NetworkPreset;
 ///
 /// let trace = NetworkPreset::DartmouthBerry.generate(40);
+/// let fp = fingerprint_trace(&trace);
 /// let params = AppParams::default();
-/// let units = vec![
-///     SimUnit::new(AppKind::Drr, [DdtKind::Array, DdtKind::Sll], &params, &trace,
-///                  MemoryConfig::embedded_default()),
-///     SimUnit::new(AppKind::Drr, [DdtKind::Array, DdtKind::Sll], &params, &trace,
-///                  MemoryConfig::embedded_default()),
-/// ];
+/// let unit = SimUnit::with_fingerprint(AppKind::Drr, [DdtKind::Array, DdtKind::Sll], &params,
+///                                      &trace, fp, MemoryConfig::embedded_default());
+/// let units = vec![unit.clone(), unit];
 /// let mut engine = ExploreEngine::in_memory();
 /// let logs = engine.evaluate_batch(&units);
 /// assert_eq!(logs.len(), 2);
@@ -499,7 +461,7 @@ mod tests {
         let logs = engine.evaluate_batch(&units);
         let sim = Simulator::new(MemoryConfig::embedded_default());
         for (unit, log) in units.iter().zip(&logs) {
-            let direct = sim.run(unit.app, unit.combo, unit.params, &trace);
+            let (direct, _) = sim.run(unit.app, unit.combo, unit.params, unit.source);
             assert_eq!(log.combo, direct.combo);
             assert_eq!(log.report.accesses, direct.report.accesses);
             assert_eq!(log.report.cycles, direct.report.cycles);
@@ -516,14 +478,16 @@ mod tests {
         let mut spec = preset.spec();
         spec.name = trace.network.clone();
         let stream = StreamSpec::single(spec, 50).expect("valid");
+        let source = TraceSource::Streamed(&stream);
         let streamed: Vec<SimUnit> = combos()
             .iter()
             .map(|&combo| {
-                SimUnit::streamed(
+                SimUnit::from_source(
                     AppKind::Drr,
                     combo,
                     &params,
-                    &stream,
+                    source,
+                    source.fingerprint(),
                     MemoryConfig::embedded_default(),
                 )
             })
@@ -554,11 +518,13 @@ mod tests {
         let spec_large =
             StreamSpec::single(NetworkPreset::DartmouthBerry.spec(), 1_000_000).expect("valid");
         let unit = |s| {
-            SimUnit::streamed(
+            let source = TraceSource::Streamed(s);
+            SimUnit::from_source(
                 AppKind::Drr,
                 [DdtKind::Array, DdtKind::Sll],
                 &params,
-                s,
+                source,
+                source.fingerprint(),
                 MemoryConfig::embedded_default(),
             )
         };

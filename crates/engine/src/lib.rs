@@ -24,22 +24,25 @@
 //!   requests (the substrate of `ddtr serve`).
 //! * [`timing`] — the wall-clock harness behind `BENCH_explore.json`.
 //!
-//! The primitive simulation types ([`Simulator`], [`SimLog`], [`Combo`])
-//! live here too and are re-exported by `ddtr_core` for compatibility.
+//! The primitive simulation types live here too and are re-exported by
+//! `ddtr_core`: [`Simulator::run`] is the one way to simulate, over either
+//! form of [`TraceSource`] (a materialized trace or a streamed workload),
+//! returning the [`SimLog`] and the per-slot access profiles.
 //!
 //! # Example
 //!
 //! ```
-//! use ddtr_engine::{ExploreEngine, SimUnit, all_combos};
+//! use ddtr_engine::{ExploreEngine, SimUnit, all_combos, fingerprint_trace};
 //! use ddtr_apps::{AppKind, AppParams};
 //! use ddtr_mem::MemoryConfig;
 //! use ddtr_trace::NetworkPreset;
 //!
 //! let trace = NetworkPreset::DartmouthBerry.generate(30);
+//! let fp = fingerprint_trace(&trace);
 //! let params = AppParams::default();
 //! let units: Vec<SimUnit> = all_combos()[..5].iter()
-//!     .map(|&c| SimUnit::new(AppKind::Drr, c, &params, &trace,
-//!                            MemoryConfig::embedded_default()))
+//!     .map(|&c| SimUnit::with_fingerprint(AppKind::Drr, c, &params, &trace, fp,
+//!                                         MemoryConfig::embedded_default()))
 //!     .collect();
 //! let mut engine = ExploreEngine::in_memory();
 //! let logs = engine.evaluate_batch(&units);

@@ -289,7 +289,7 @@ impl Drop for JobsPermit<'_> {
 /// # Example
 ///
 /// ```
-/// use ddtr_engine::{EngineConfig, EngineSession, SimUnit};
+/// use ddtr_engine::{fingerprint_trace, EngineConfig, EngineSession, SimUnit};
 /// use ddtr_apps::{AppKind, AppParams};
 /// use ddtr_ddt::DdtKind;
 /// use ddtr_mem::MemoryConfig;
@@ -298,8 +298,9 @@ impl Drop for JobsPermit<'_> {
 /// let session = EngineSession::new(EngineConfig::with_jobs(2))?;
 /// let trace = NetworkPreset::DartmouthBerry.generate(30);
 /// let params = AppParams::default();
-/// let unit = SimUnit::new(AppKind::Drr, [DdtKind::Array, DdtKind::Sll], &params,
-///                         &trace, MemoryConfig::embedded_default());
+/// let unit = SimUnit::with_fingerprint(AppKind::Drr, [DdtKind::Array, DdtKind::Sll], &params,
+///                                      &trace, fingerprint_trace(&trace),
+///                                      MemoryConfig::embedded_default());
 /// // Two engines, one cache: the second request is answered without
 /// // executing anything.
 /// session.engine().evaluate_batch(std::slice::from_ref(&unit));

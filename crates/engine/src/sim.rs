@@ -1,10 +1,11 @@
 //! Single-simulation runner and the simulation log record.
 
 use crate::combo::{combo_label, Combo};
+use crate::engine::TraceSource;
 use crate::key::ConfigKey;
 use ddtr_apps::{AppKind, AppParams, SlotProfile};
 use ddtr_mem::{CostReport, MemoryConfig, MemorySystem};
-use ddtr_trace::{Packet, StreamSpec, Trace};
+use ddtr_trace::Packet;
 use serde::{Deserialize, Serialize};
 
 /// One simulation's log record — the unit the paper's "Gigabytes of log
@@ -55,37 +56,39 @@ impl Simulator {
         Simulator { mem_cfg }
     }
 
-    /// Simulates `app` with `combo` in its dominant slots over `trace`,
-    /// returning the four-metric log record. Table construction is part of
-    /// the measured execution, exactly like the paper's host runs.
+    /// Simulates `app` with `combo` in its dominant slots over `source`,
+    /// returning the four-metric log record and the per-slot access
+    /// profiles (read by the profiling step). Table construction is part
+    /// of the measured execution, exactly like the paper's host runs.
+    ///
+    /// A materialized trace and a streamed workload drain the same loop,
+    /// so for the same packets both forms yield byte-identical results; a
+    /// stream is generated on the fly in constant memory.
     #[must_use]
-    pub fn run(&self, app: AppKind, combo: Combo, params: &AppParams, trace: &Trace) -> SimLog {
-        let (report, _) = self.run_with_profiles(app, combo, params, trace);
-        SimLog {
-            app,
-            combo: combo_label(combo),
-            network: trace.network.clone(),
-            params: params.label(app),
-            report,
-        }
-    }
-
-    /// Like [`Simulator::run`] but also returns the per-slot access
-    /// profiles (used by the profiling step).
-    #[must_use]
-    pub fn run_with_profiles(
+    pub fn run(
         &self,
         app: AppKind,
         combo: Combo,
         params: &AppParams,
-        trace: &Trace,
-    ) -> (CostReport, Vec<SlotProfile>) {
-        self.simulate(app, combo, params, trace.iter())
+        source: TraceSource<'_>,
+    ) -> (SimLog, Vec<SlotProfile>) {
+        let (report, profiles) = match source {
+            TraceSource::Materialized(trace) => self.simulate(app, combo, params, trace.iter()),
+            TraceSource::Streamed(spec) => self.simulate(app, combo, params, spec.stream()),
+        };
+        let log = SimLog {
+            app,
+            combo: combo_label(combo),
+            network: source.network().to_owned(),
+            params: params.label(app),
+            report,
+        };
+        (log, profiles)
     }
 
-    /// The one simulation loop both the materialized and streamed entry
-    /// points drain — their byte-identical metrics come from sharing this
-    /// body, not from keeping two copies in sync.
+    /// The one simulation loop both packet sources drain — their
+    /// byte-identical metrics come from sharing this body, not from
+    /// keeping two copies in sync.
     fn simulate<B: std::borrow::Borrow<Packet>>(
         &self,
         app: AppKind,
@@ -100,67 +103,13 @@ impl Simulator {
         }
         (mem.report(), instance.slot_profiles())
     }
-
-    /// Simulates `app` over a packet *stream* instead of a materialized
-    /// trace: packets are consumed as they are produced, so memory stays
-    /// constant regardless of workload length. For the same packets this
-    /// yields exactly the metrics of [`Simulator::run`].
-    ///
-    /// `network` names the configuration in the resulting log (streams
-    /// carry no [`Trace`] to take it from).
-    #[must_use]
-    pub fn run_stream(
-        &self,
-        app: AppKind,
-        combo: Combo,
-        params: &AppParams,
-        network: &str,
-        packets: impl IntoIterator<Item = Packet>,
-    ) -> SimLog {
-        let (report, _) = self.run_stream_with_profiles(app, combo, params, packets);
-        SimLog {
-            app,
-            combo: combo_label(combo),
-            network: network.to_owned(),
-            params: params.label(app),
-            report,
-        }
-    }
-
-    /// Like [`Simulator::run_stream`] but returns the cost report and the
-    /// per-slot access profiles — the streamed counterpart of
-    /// [`Simulator::run_with_profiles`], so the profiling substep also
-    /// runs in constant memory.
-    #[must_use]
-    pub fn run_stream_with_profiles(
-        &self,
-        app: AppKind,
-        combo: Combo,
-        params: &AppParams,
-        packets: impl IntoIterator<Item = Packet>,
-    ) -> (CostReport, Vec<SlotProfile>) {
-        self.simulate(app, combo, params, packets)
-    }
-
-    /// Simulates `app` over a [`StreamSpec`] workload, streaming its
-    /// (possibly multi-phase) packets in constant memory.
-    #[must_use]
-    pub fn run_spec(
-        &self,
-        app: AppKind,
-        combo: Combo,
-        params: &AppParams,
-        spec: &StreamSpec,
-    ) -> SimLog {
-        self.run_stream(app, combo, params, spec.name(), spec.stream())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ddtr_ddt::DdtKind;
-    use ddtr_trace::NetworkPreset;
+    use ddtr_trace::{NetworkPreset, StreamSpec, Trace};
 
     fn sim() -> Simulator {
         Simulator::new(MemoryConfig::embedded_default())
@@ -175,11 +124,23 @@ mod tests {
         }
     }
 
+    /// The log of one run over a materialized trace with [`quick_params`].
+    fn run(app: AppKind, combo: Combo, trace: &Trace) -> SimLog {
+        sim()
+            .run(
+                app,
+                combo,
+                &quick_params(),
+                TraceSource::Materialized(trace),
+            )
+            .0
+    }
+
     #[test]
     fn run_produces_nonzero_metrics_for_every_app() {
         let trace = NetworkPreset::DartmouthBerry.generate(60);
         for app in AppKind::ALL {
-            let log = sim().run(app, [DdtKind::Array, DdtKind::Sll], &quick_params(), &trace);
+            let log = run(app, [DdtKind::Array, DdtKind::Sll], &trace);
             assert!(log.report.accesses > 0, "{app}");
             assert!(log.report.cycles > 0, "{app}");
             assert!(log.report.energy_nj > 0.0, "{app}");
@@ -198,18 +159,9 @@ mod tests {
     #[test]
     fn simulation_is_deterministic() {
         let trace = NetworkPreset::NlanrAix.generate(80);
-        let a = sim().run(
-            AppKind::Url,
-            [DdtKind::SllRov, DdtKind::DllChunk],
-            &quick_params(),
-            &trace,
-        );
-        let b = sim().run(
-            AppKind::Url,
-            [DdtKind::SllRov, DdtKind::DllChunk],
-            &quick_params(),
-            &trace,
-        );
+        let combo = [DdtKind::SllRov, DdtKind::DllChunk];
+        let a = run(AppKind::Url, combo, &trace);
+        let b = run(AppKind::Url, combo, &trace);
         assert_eq!(a.report.accesses, b.report.accesses);
         assert_eq!(a.report.cycles, b.report.cycles);
     }
@@ -217,18 +169,8 @@ mod tests {
     #[test]
     fn different_combos_cost_differently() {
         let trace = NetworkPreset::DartmouthBerry.generate(100);
-        let a = sim().run(
-            AppKind::Drr,
-            [DdtKind::Array, DdtKind::Array],
-            &quick_params(),
-            &trace,
-        );
-        let b = sim().run(
-            AppKind::Drr,
-            [DdtKind::Sll, DdtKind::Sll],
-            &quick_params(),
-            &trace,
-        );
+        let a = run(AppKind::Drr, [DdtKind::Array, DdtKind::Array], &trace);
+        let b = run(AppKind::Drr, [DdtKind::Sll, DdtKind::Sll], &trace);
         assert_ne!(
             a.report.accesses, b.report.accesses,
             "AR+AR vs SLL+SLL must differ"
@@ -237,43 +179,40 @@ mod tests {
 
     #[test]
     fn streamed_run_matches_materialized_run_exactly() {
-        use ddtr_trace::{StreamSpec, TraceGenerator};
         let preset = NetworkPreset::DartmouthBerry;
         let trace = preset.generate(120);
-        for combo in [
-            [DdtKind::Array, DdtKind::Sll],
-            [DdtKind::DllRov, DdtKind::SllChunk],
-        ] {
-            let direct = sim().run(AppKind::Drr, combo, &quick_params(), &trace);
-            let generator = TraceGenerator::new(preset.spec());
-            let streamed = sim().run_stream(
-                AppKind::Drr,
-                combo,
-                &quick_params(),
-                &trace.network,
-                generator.stream(120),
-            );
-            assert_eq!(
-                serde_json::to_string(&streamed).expect("ser"),
-                serde_json::to_string(&direct).expect("ser"),
-                "streamed and materialized logs must be byte-identical"
-            );
-            let spec = StreamSpec::single(preset.spec(), 120).expect("valid");
-            let via_spec = sim().run_spec(AppKind::Drr, combo, &quick_params(), &spec);
-            assert_eq!(via_spec.report.accesses, direct.report.accesses);
-            assert_eq!(via_spec.report.cycles, direct.report.cycles);
+        let spec = StreamSpec::single(preset.spec(), 120).expect("valid");
+        for app in AppKind::EXTENDED_ALL {
+            for combo in [
+                [DdtKind::Array, DdtKind::Sll],
+                [DdtKind::DllRov, DdtKind::SllChunk],
+            ] {
+                let (direct, direct_profiles) = sim().run(
+                    app,
+                    combo,
+                    &quick_params(),
+                    TraceSource::Materialized(&trace),
+                );
+                let (streamed, streamed_profiles) =
+                    sim().run(app, combo, &quick_params(), TraceSource::Streamed(&spec));
+                assert_eq!(
+                    serde_json::to_string(&streamed).expect("ser"),
+                    serde_json::to_string(&direct).expect("ser"),
+                    "{app}: streamed and materialized logs must be byte-identical"
+                );
+                assert_eq!(
+                    serde_json::to_string(&streamed_profiles).expect("ser"),
+                    serde_json::to_string(&direct_profiles).expect("ser"),
+                    "{app}: streamed and materialized profiles must be byte-identical"
+                );
+            }
         }
     }
 
     #[test]
     fn log_serialises_to_json_and_back() {
         let trace = NetworkPreset::DartmouthBerry.generate(30);
-        let log = sim().run(
-            AppKind::Ipchains,
-            [DdtKind::Dll, DdtKind::Dll],
-            &quick_params(),
-            &trace,
-        );
+        let log = run(AppKind::Ipchains, [DdtKind::Dll, DdtKind::Dll], &trace);
         let json = serde_json::to_string(&log).expect("serialise");
         let back: SimLog = serde_json::from_str(&json).expect("deserialise");
         assert_eq!(back.combo, log.combo);
@@ -283,12 +222,7 @@ mod tests {
     #[test]
     fn objectives_order_is_energy_time_accesses_footprint() {
         let trace = NetworkPreset::DartmouthBerry.generate(20);
-        let log = sim().run(
-            AppKind::Drr,
-            [DdtKind::Array, DdtKind::Array],
-            &quick_params(),
-            &trace,
-        );
+        let log = run(AppKind::Drr, [DdtKind::Array, DdtKind::Array], &trace);
         let o = log.objectives();
         assert_eq!(o[0], log.report.energy_nj);
         assert_eq!(o[1], log.report.cycles as f64);

@@ -11,7 +11,7 @@ use ddtr_apps::{AppKind, AppParams};
 use ddtr_ddt::DdtKind;
 use ddtr_engine::store::format::PAGE;
 use ddtr_engine::testing::TempCacheDir;
-use ddtr_engine::{CacheKey, PileStore, SimCache, Simulator};
+use ddtr_engine::{CacheKey, PileStore, SimCache, Simulator, TraceSource};
 use ddtr_mem::MemoryConfig;
 use ddtr_trace::NetworkPreset;
 use proptest::prelude::*;
@@ -81,8 +81,8 @@ proptest! {
         let trace = NetworkPreset::DartmouthBerry.generate(10);
         let params = AppParams::default();
         let combo = [DdtKind::Array, DdtKind::Dll];
-        let log = Simulator::new(MemoryConfig::embedded_default())
-            .run(AppKind::Drr, combo, &params, &trace);
+        let (log, _) = Simulator::new(MemoryConfig::embedded_default())
+            .run(AppKind::Drr, combo, &params, TraceSource::Materialized(&trace));
         let mut ids = Vec::new();
         {
             let mut cache = SimCache::open(tmp.path()).expect("open");

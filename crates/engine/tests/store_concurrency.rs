@@ -8,20 +8,24 @@
 
 use ddtr_apps::{AppKind, AppParams};
 use ddtr_engine::testing::TempCacheDir;
-use ddtr_engine::{all_combos, EngineConfig, EngineSession, PileStore, SimCache, SimUnit};
+use ddtr_engine::{
+    all_combos, fingerprint_trace, EngineConfig, EngineSession, PileStore, SimCache, SimUnit,
+};
 use ddtr_mem::MemoryConfig;
 use ddtr_trace::NetworkPreset;
 use std::time::Duration;
 
 fn units<'a>(trace: &'a ddtr_trace::Trace, params: &'a AppParams) -> Vec<SimUnit<'a>> {
+    let fp = fingerprint_trace(trace);
     all_combos()[..6]
         .iter()
         .map(|&c| {
-            SimUnit::new(
+            SimUnit::with_fingerprint(
                 AppKind::Drr,
                 c,
                 params,
                 trace,
+                fp,
                 MemoryConfig::embedded_default(),
             )
         })

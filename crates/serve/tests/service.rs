@@ -3,7 +3,9 @@
 //! warm-cache answering across client connections, malformed-input
 //! handling, and cancellation.
 
-use ddtr_core::{dispatch, ExploreRequest, ExploreResult, MemoryPreset, MethodologyConfig};
+use ddtr_core::{
+    dispatch_with, ExploreEngine, ExploreRequest, ExploreResult, MemoryPreset, MethodologyConfig,
+};
 use ddtr_engine::EngineConfig;
 use ddtr_serve::{
     Client, ClientError, Endpoint, ErrorCode, Event, JobSpec, Request, RequestBody, Server,
@@ -137,10 +139,16 @@ fn serve_matches_the_cli_entry_points_at_any_jobs_count() {
         run_line("matrix", &quick_scenarios_spec()),
     ];
     // The same requests through the direct (CLI) entry points.
-    let direct_explore =
-        dispatch(&quick_explore_spec().resolve().expect("resolves")).expect("direct explore");
-    let direct_matrix =
-        dispatch(&quick_scenarios_spec().resolve().expect("resolves")).expect("direct matrix");
+    let direct_explore = dispatch_with(
+        &mut ExploreEngine::in_memory(),
+        &quick_explore_spec().resolve().expect("resolves"),
+    )
+    .expect("direct explore");
+    let direct_matrix = dispatch_with(
+        &mut ExploreEngine::in_memory(),
+        &quick_scenarios_spec().resolve().expect("resolves"),
+    )
+    .expect("direct matrix");
     let ExploreResult::Explore(direct_explore) = direct_explore else {
         panic!("wrong mode");
     };
@@ -350,7 +358,11 @@ fn sweep_requests_stream_cells_and_repeat_from_cache() {
         );
     }
     // The aggregated result matches a direct dispatch byte-for-byte.
-    let direct = dispatch(&quick_sweep_spec().resolve().expect("resolves")).expect("direct");
+    let direct = dispatch_with(
+        &mut ExploreEngine::in_memory(),
+        &quick_sweep_spec().resolve().expect("resolves"),
+    )
+    .expect("direct");
     let ExploreResult::Sweep(direct) = direct else {
         panic!("wrong mode");
     };
@@ -696,7 +708,7 @@ fn inline_configs_round_trip_through_a_live_server() {
     let json = serde_json::to_string(result).expect("ser");
     let back: ExploreResult = serde_json::from_str(&json).expect("de");
     assert_eq!(serde_json::to_string(&back).expect("ser"), json);
-    let direct = dispatch(&inline).expect("direct");
+    let direct = dispatch_with(&mut ExploreEngine::in_memory(), &inline).expect("direct");
     let (ExploreResult::Explore(served), ExploreResult::Explore(direct)) = (&back, &direct) else {
         panic!("wrong modes");
     };

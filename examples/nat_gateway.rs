@@ -7,7 +7,7 @@
 //! ```
 
 use ddtr::apps::{AppKind, AppParams};
-use ddtr::core::{Methodology, MethodologyConfig, Simulator};
+use ddtr::core::{Methodology, MethodologyConfig, Simulator, TraceSource};
 use ddtr::ddt::DdtKind;
 use ddtr::mem::MemoryConfig;
 use ddtr::trace::NetworkPreset;
@@ -35,11 +35,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             nat_ports: ports,
             ..AppParams::default()
         };
-        let log = sim.run(
+        let (log, _) = sim.run(
             AppKind::Nat,
             [DdtKind::Array, DdtKind::Array],
             &params,
-            &trace,
+            TraceSource::Materialized(&trace),
         );
         println!("pool {ports:>4} ports: {}", log.report);
     }

@@ -4,7 +4,8 @@
 
 use ddtr::apps::AppKind;
 use ddtr::core::{
-    all_combos, combo_label, explore_heuristic, GaConfig, Methodology, MethodologyConfig, Simulator,
+    all_combos, combo_label, explore_heuristic, GaConfig, Methodology, MethodologyConfig,
+    Simulator, TraceSource,
 };
 use ddtr::ddt::DdtKind;
 use ddtr::mem::MemoryConfig;
@@ -69,9 +70,10 @@ fn heuristic_results_agree_with_exhaustive_simulation() {
     let outcome = explore_heuristic(&cfg).expect("ga runs");
     let sim = Simulator::new(cfg.mem);
     let trace = cfg.network.generate(cfg.packets_per_sim);
+    let source = TraceSource::Materialized(&trace);
     for log in &outcome.front {
         let combo = ddtr::core::parse_combo(&log.combo).expect("front label parses");
-        let reference = sim.run(cfg.app, combo, &cfg.params, &trace);
+        let (reference, _) = sim.run(cfg.app, combo, &cfg.params, source);
         assert_eq!(
             log.report.accesses, reference.report.accesses,
             "{}",
@@ -95,7 +97,7 @@ fn heuristic_front_is_non_dominated_within_the_true_space() {
     let full: Vec<(String, [f64; 4])> = all_combos()
         .into_iter()
         .map(|c| {
-            let log = sim.run(cfg.app, c, &cfg.params, &trace);
+            let (log, _) = sim.run(cfg.app, c, &cfg.params, TraceSource::Materialized(&trace));
             (combo_label(c), log.objectives())
         })
         .collect();
@@ -189,9 +191,11 @@ fn scratchpad_lowers_costs_without_reordering_the_reference_combo() {
     let trace = NetworkPreset::DartmouthBerry.generate(200);
     let params = ddtr::apps::AppParams::default();
     let combo = [DdtKind::Sll, DdtKind::Sll];
-    let plain =
-        Simulator::new(MemoryConfig::embedded_default()).run(AppKind::Url, combo, &params, &trace);
-    let spm = Simulator::new(MemoryConfig::with_spm()).run(AppKind::Url, combo, &params, &trace);
+    let source = TraceSource::Materialized(&trace);
+    let (plain, _) =
+        Simulator::new(MemoryConfig::embedded_default()).run(AppKind::Url, combo, &params, source);
+    let (spm, _) =
+        Simulator::new(MemoryConfig::with_spm()).run(AppKind::Url, combo, &params, source);
     assert!(
         spm.report.cycles < plain.report.cycles,
         "spm {} vs plain {}",
