@@ -1,8 +1,9 @@
 //! Times the exploration hot path and records the numbers the perf
 //! trajectory tracks, writing `BENCH_explore.json` at the repository root:
 //!
-//! * quick explores of all five applications, cold cache versus warm cache
-//!   (the engine's persist/replay path end to end),
+//! * paper-sized explores of all five applications, cold cache versus warm
+//!   cache (the engine's persist/replay path end to end), each the median
+//!   of five repeats with a fresh store for every cold run,
 //! * a full (paper-sized) DRR explore at `--jobs 1` versus `--jobs 4`,
 //!   asserting the Pareto front is byte-identical across worker counts, and
 //! * streamed single DRR simulations at 100k and 1M packets — the
@@ -24,6 +25,14 @@ use ddtr_engine::PileStore;
 use ddtr_mem::MemoryConfig;
 use ddtr_trace::{NetworkPreset, StreamSpec};
 use std::path::Path;
+
+/// Repeats per cold/warm explore pair; each reported time is their median.
+const REPEATS: usize = 5;
+
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
 
 fn explore(engine: &mut ExploreEngine, cfg: &MethodologyConfig) -> MethodologyOutcome {
     Methodology::new(cfg.clone())
@@ -53,7 +62,7 @@ fn main() {
     report.set_meta("units", "seconds");
     report.set_meta(
         "notes",
-        "cold/warm cache, worker scaling and streamed packet-count scaling",
+        "cold/warm cache (medians of 5), worker scaling and streamed packet-count scaling",
     );
     if let Ok(out) = std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
@@ -65,34 +74,44 @@ fn main() {
     }
     println!("# exploration timing baseline\n");
 
-    // Cold versus warm persistent cache, quick explores, all five apps.
-    println!("## quick explores, cold vs warm cache\n");
+    // Cold versus warm persistent cache, paper-sized explores, all five
+    // apps, on one worker so the ratio measures the work the store saves,
+    // not the host's core count. A quick explore takes ~10 ms, too short to
+    // time once: single quick samples put the warm speedup anywhere between
+    // 3x and 8x.
+    println!("## paper explores, cold vs warm cache (median of {REPEATS})\n");
     for app in AppKind::EXTENDED_ALL {
-        let dir = std::env::temp_dir().join(format!("ddtr-perf-{app}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let engine_cfg = EngineConfig {
-            jobs: 0,
-            cache_dir: Some(dir.clone()),
-            no_cache: false,
-        };
-        let cfg = MethodologyConfig::quick(app);
-        let mut cold_engine = ExploreEngine::new(engine_cfg.clone()).expect("cold engine");
-        let (_, cold) = time_secs(|| explore(&mut cold_engine, &cfg));
-        // A fresh engine over the same directory exercises the on-disk
-        // replay, not just the in-memory map.
-        let mut warm_engine = ExploreEngine::new(engine_cfg).expect("warm engine");
-        let (warm_outcome, warm) = time_secs(|| explore(&mut warm_engine, &cfg));
-        assert_eq!(
-            warm_outcome.engine.executed, 0,
-            "warm explore must answer from the cache"
-        );
+        let cfg = MethodologyConfig::paper(app);
+        let (mut colds, mut warms) = (Vec::new(), Vec::new());
+        for rep in 0..REPEATS {
+            let dir =
+                std::env::temp_dir().join(format!("ddtr-perf-{app}-{}-{rep}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let engine_cfg = EngineConfig {
+                jobs: 1,
+                cache_dir: Some(dir.clone()),
+                no_cache: false,
+            };
+            let mut cold_engine = ExploreEngine::new(engine_cfg.clone()).expect("cold engine");
+            colds.push(time_secs(|| explore(&mut cold_engine, &cfg)).1);
+            // A fresh engine over the same directory exercises the on-disk
+            // replay, not just the in-memory map.
+            let mut warm_engine = ExploreEngine::new(engine_cfg).expect("warm engine");
+            let (warm_outcome, warm) = time_secs(|| explore(&mut warm_engine, &cfg));
+            assert_eq!(
+                warm_outcome.engine.executed, 0,
+                "warm explore must answer from the cache"
+            );
+            warms.push(warm);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let (cold, warm) = (median(&mut colds), median(&mut warms));
         println!(
             "{app:10} cold {cold:8.3}s   warm {warm:8.3}s   speedup {:6.1}x",
             cold / warm
         );
-        report.push(format!("{app} quick cold"), cold);
-        report.push(format!("{app} quick warm"), warm);
-        let _ = std::fs::remove_dir_all(&dir);
+        report.push(format!("{app} paper cold"), cold);
+        report.push(format!("{app} paper warm"), warm);
     }
 
     // Worker scaling on a full paper-sized explore (no cache, so both

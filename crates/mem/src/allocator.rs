@@ -2,7 +2,7 @@
 
 use crate::VirtAddr;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Per-block header size, matching a typical embedded `malloc`.
@@ -20,6 +20,12 @@ pub enum AllocError {
     },
     /// A zero-byte allocation was requested.
     ZeroSize,
+    /// A free of an address that is not a live block: a double free or a
+    /// wild pointer.
+    InvalidFree {
+        /// The address passed to `free`.
+        addr: VirtAddr,
+    },
 }
 
 impl fmt::Display for AllocError {
@@ -29,6 +35,10 @@ impl fmt::Display for AllocError {
                 write!(f, "simulated heap exhausted allocating {requested} bytes")
             }
             AllocError::ZeroSize => write!(f, "zero-byte allocation requested"),
+            AllocError::InvalidFree { addr } => write!(
+                f,
+                "free of {addr}, which is not a live heap block (double free or wild pointer)"
+            ),
         }
     }
 }
@@ -107,13 +117,22 @@ impl AllocStats {
     }
 }
 
-/// First-fit free-list allocator with coalescing over a simulated arena.
+/// Free-list allocator with coalescing over a simulated arena, selecting
+/// free regions first fit (the default), best fit or next fit
+/// ([`FitPolicy`]).
 ///
 /// The allocator never touches host memory: it only does address
 /// bookkeeping so the rest of the stack can attribute cache behaviour and
 /// footprint to realistic heap layouts. Blocks carry an 8-byte header and
 /// are 8-byte aligned, mirroring a typical embedded allocator, so footprint
 /// numbers include allocator overhead exactly like the paper's.
+///
+/// The free regions are indexed, not walked: the address-ordered list is
+/// cut into chunks of up to 64 regions that record their largest length,
+/// so the lowest region that fits (first fit, and next fit from its cursor
+/// with wrap-around) is found by skipping chunks and scanning one; best
+/// fit keeps a `(length, start)` ordered set besides. Both pick exactly
+/// the region a walk of the free list would.
 ///
 /// # Example
 ///
@@ -137,8 +156,10 @@ pub struct SimAllocator {
     policy: FitPolicy,
     /// Next-fit roving cursor: address the next search starts from.
     cursor: u64,
-    /// Free regions: start -> length (gross bytes). Disjoint, coalesced.
-    free: BTreeMap<u64, u64>,
+    /// Free regions (start, gross length), disjoint and coalesced.
+    free: FreeList,
+    /// The same regions as `(length, start)`, under best fit only.
+    by_size: Option<BTreeSet<(u64, u64)>>,
     /// Live blocks: user address -> (gross length, user length).
     live: BTreeMap<u64, (u64, u64)>,
     stats: AllocStats,
@@ -166,17 +187,18 @@ impl SimAllocator {
     pub fn with_policy(base: u64, capacity: u64, policy: FitPolicy) -> Self {
         assert!(base != 0, "arena base must be non-zero");
         assert!(capacity != 0, "arena capacity must be non-zero");
-        let mut free = BTreeMap::new();
-        free.insert(base, capacity);
-        SimAllocator {
+        let mut heap = SimAllocator {
             base,
             capacity,
             policy,
             cursor: base,
-            free,
+            free: FreeList::default(),
+            by_size: (policy == FitPolicy::BestFit).then(BTreeSet::new),
             live: BTreeMap::new(),
             stats: AllocStats::default(),
-        }
+        };
+        heap.insert_free(base, capacity);
+        heap
     }
 
     /// The free-region selection policy in use.
@@ -185,27 +207,47 @@ impl SimAllocator {
         self.policy
     }
 
+    fn insert_free(&mut self, start: u64, len: u64) {
+        self.free.insert(start, len);
+        if let Some(by_size) = &mut self.by_size {
+            by_size.insert((len, start));
+        }
+    }
+
+    /// Removes the free region `(start, len)`.
+    fn remove_free(&mut self, start: u64, len: u64) {
+        self.free.remove(start);
+        if let Some(by_size) = &mut self.by_size {
+            by_size.remove(&(len, start));
+        }
+    }
+
+    /// Replaces the free region `old` by `new`, which must take its place
+    /// in address order (no other region lies between their starts).
+    fn replace_free(&mut self, old: Region, new: Region) {
+        self.free.replace(old.0, new.0, new.1);
+        if let Some(by_size) = &mut self.by_size {
+            by_size.remove(&(old.1, old.0));
+            by_size.insert((new.1, new.0));
+        }
+    }
+
     /// Selects the free region an allocation of `gross` bytes is carved
     /// from, per the configured policy.
-    fn select_region(&self, gross: u64) -> Option<(u64, u64)> {
+    fn select_region(&self, gross: u64) -> Option<Region> {
+        // Best fit: the tightest region, lowest address among equals.
+        if let Some(by_size) = &self.by_size {
+            return by_size
+                .range((gross, 0)..)
+                .next()
+                .map(|&(len, start)| (start, len));
+        }
         match self.policy {
-            FitPolicy::FirstFit => self
-                .free
-                .iter()
-                .find(|(_, &len)| len >= gross)
-                .map(|(&start, &len)| (start, len)),
-            FitPolicy::BestFit => self
-                .free
-                .iter()
-                .filter(|(_, &len)| len >= gross)
-                .min_by_key(|(&start, &len)| (len, start))
-                .map(|(&start, &len)| (start, len)),
             FitPolicy::NextFit => self
                 .free
-                .range(self.cursor..)
-                .chain(self.free.range(..self.cursor))
-                .find(|(_, &len)| len >= gross)
-                .map(|(&start, &len)| (start, len)),
+                .first_fit(self.cursor, gross)
+                .or_else(|| self.free.first_fit(0, gross)),
+            _ => self.free.first_fit(0, gross),
         }
     }
 
@@ -225,9 +267,11 @@ impl SimAllocator {
             self.stats.failed_allocs += 1;
             return Err(AllocError::OutOfMemory { requested: size });
         };
-        self.free.remove(&start);
         if len > gross {
-            self.free.insert(start + gross, len - gross);
+            // The remainder keeps the region's place in address order.
+            self.replace_free((start, len), (start + gross, len - gross));
+        } else {
+            self.remove_free(start, len);
         }
         self.cursor = start + gross;
         let user = start + HEADER_BYTES;
@@ -244,32 +288,30 @@ impl SimAllocator {
     ///
     /// # Errors
     ///
-    /// Returns [`AllocError::ZeroSize`] if `addr` does not correspond to a
-    /// live block (double free or wild pointer).
+    /// Returns [`AllocError::InvalidFree`] if `addr` does not correspond to
+    /// a live block (double free or wild pointer); the heap is unchanged.
     pub fn free(&mut self, addr: VirtAddr) -> Result<(), AllocError> {
         let user = addr.as_u64();
         let Some((gross, size)) = self.live.remove(&user) else {
-            return Err(AllocError::ZeroSize);
+            return Err(AllocError::InvalidFree { addr });
         };
         self.stats.frees += 1;
         self.stats.live_user_bytes -= size;
         self.stats.live_gross_bytes -= gross;
-        let mut start = user - HEADER_BYTES;
-        let mut len = gross;
-        // Coalesce with the preceding free region.
-        if let Some((&prev_start, &prev_len)) = self.free.range(..start).next_back() {
-            if prev_start + prev_len == start {
-                self.free.remove(&prev_start);
-                start = prev_start;
-                len += prev_len;
+        let start = user - HEADER_BYTES;
+        // Coalesce with the adjacent free regions, if any.
+        let (prev, next) = self.free.neighbours(start);
+        let prev = prev.filter(|&(p, len)| p + len == start);
+        let next = next.filter(|&(n, _)| n == start + gross);
+        match (prev, next) {
+            (Some(prev), Some(next)) => {
+                self.remove_free(next.0, next.1);
+                self.replace_free(prev, (prev.0, prev.1 + gross + next.1));
             }
+            (Some(prev), None) => self.replace_free(prev, (prev.0, prev.1 + gross)),
+            (None, Some(next)) => self.replace_free(next, (start, gross + next.1)),
+            (None, None) => self.insert_free(start, gross),
         }
-        // Coalesce with the following free region.
-        if let Some(&next_len) = self.free.get(&(start + len)) {
-            self.free.remove(&(start + len));
-            len += next_len;
-        }
-        self.free.insert(start, len);
         Ok(())
     }
 
@@ -316,7 +358,7 @@ impl SimAllocator {
     /// Number of disjoint free regions (external fragmentation proxy).
     #[must_use]
     pub fn free_regions(&self) -> usize {
-        self.free.len()
+        self.free.len
     }
 
     /// Gross bytes consumed by a `size`-byte allocation, including header
@@ -325,6 +367,141 @@ impl SimAllocator {
     pub fn gross_size(size: u64) -> u64 {
         let padded = size.div_ceil(ALIGN) * ALIGN;
         padded + HEADER_BYTES
+    }
+}
+
+/// A free region: start address and gross length.
+type Region = (u64, u64);
+
+/// Regions per chunk of a [`FreeList`] before the chunk splits in two.
+const CHUNK: usize = 64;
+
+/// The free regions in address order, cut into chunks of at most
+/// [`CHUNK`] regions that each record their largest region length. A
+/// first-fit search skips every chunk whose maximum is too small and scans
+/// one chunk; every update touches one chunk.
+#[derive(Debug, Clone, Default)]
+struct FreeList {
+    /// Address-ordered, non-empty chunks.
+    chunks: Vec<Chunk>,
+    /// Number of regions.
+    len: usize,
+}
+
+#[derive(Debug, Clone)]
+struct Chunk {
+    /// Address-ordered regions.
+    regions: Vec<Region>,
+    /// Largest region length in `regions`.
+    max: u64,
+}
+
+impl Chunk {
+    fn refresh_max(&mut self) {
+        self.max = self.regions.iter().map(|&(_, len)| len).max().unwrap_or(0);
+    }
+}
+
+impl FreeList {
+    /// The chunk `addr` falls in (the last one starting at or below it,
+    /// else the first) and the index of its first region starting at or
+    /// above `addr`. The list must not be empty.
+    fn locate(&self, addr: u64) -> (usize, usize) {
+        let c = self
+            .chunks
+            .partition_point(|ch| ch.regions[0].0 <= addr)
+            .saturating_sub(1);
+        (c, self.chunks[c].regions.partition_point(|r| r.0 < addr))
+    }
+
+    /// The regions immediately below and above `addr`, which must not be
+    /// the start of a region.
+    fn neighbours(&self, addr: u64) -> (Option<Region>, Option<Region>) {
+        if self.chunks.is_empty() {
+            return (None, None);
+        }
+        let (c, i) = self.locate(addr);
+        let regions = &self.chunks[c].regions;
+        // `locate` picks the chunk holding the last region below `addr`, if
+        // any region lies below it.
+        let below = i.checked_sub(1).map(|b| regions[b]);
+        let above = regions
+            .get(i)
+            .or_else(|| self.chunks.get(c + 1).map(|next| &next.regions[0]))
+            .copied();
+        (below, above)
+    }
+
+    /// The lowest-addressed region starting at or after `from` with at
+    /// least `need` bytes.
+    fn first_fit(&self, from: u64, need: u64) -> Option<Region> {
+        if self.chunks.is_empty() {
+            return None;
+        }
+        let (c, i) = self.locate(from);
+        let mut skip = i;
+        for chunk in &self.chunks[c..] {
+            if chunk.max >= need {
+                if let Some(&hit) = chunk.regions[skip..].iter().find(|r| r.1 >= need) {
+                    return Some(hit);
+                }
+            }
+            skip = 0;
+        }
+        None
+    }
+
+    /// Adds the region `(start, len)`, which overlaps no other.
+    fn insert(&mut self, start: u64, len: u64) {
+        self.len += 1;
+        if self.chunks.is_empty() {
+            self.chunks.push(Chunk {
+                regions: vec![(start, len)],
+                max: len,
+            });
+            return;
+        }
+        let (c, i) = self.locate(start);
+        let chunk = &mut self.chunks[c];
+        chunk.regions.insert(i, (start, len));
+        chunk.max = chunk.max.max(len);
+        if chunk.regions.len() > CHUNK {
+            let mut upper = Chunk {
+                regions: chunk.regions.split_off(CHUNK / 2),
+                max: 0,
+            };
+            chunk.refresh_max();
+            upper.refresh_max();
+            self.chunks.insert(c + 1, upper);
+        }
+    }
+
+    /// Removes the region starting at `start`, which must exist.
+    fn remove(&mut self, start: u64) {
+        let (c, i) = self.locate(start);
+        let chunk = &mut self.chunks[c];
+        let (found, len) = chunk.regions.remove(i);
+        assert_eq!(found, start, "removed free region is listed");
+        if chunk.regions.is_empty() {
+            self.chunks.remove(c);
+        } else if len == chunk.max {
+            chunk.refresh_max();
+        }
+        self.len -= 1;
+    }
+
+    /// Moves the region starting at `key` to `(start, len)`, which must keep
+    /// its place in address order.
+    fn replace(&mut self, key: u64, start: u64, len: u64) {
+        let (c, i) = self.locate(key);
+        let chunk = &mut self.chunks[c];
+        let (found, old) = std::mem::replace(&mut chunk.regions[i], (start, len));
+        assert_eq!(found, key, "replaced free region is listed");
+        if len >= chunk.max {
+            chunk.max = len;
+        } else if old == chunk.max {
+            chunk.refresh_max();
+        }
     }
 }
 
@@ -373,7 +550,16 @@ mod tests {
         let mut h = heap();
         let a = h.alloc(16).unwrap();
         h.free(a).unwrap();
-        assert!(h.free(a).is_err());
+        assert_eq!(h.free(a), Err(AllocError::InvalidFree { addr: a }));
+        assert_eq!(
+            h.free(VirtAddr::new(0x1234)),
+            Err(AllocError::InvalidFree {
+                addr: VirtAddr::new(0x1234)
+            })
+        );
+        assert!(AllocError::InvalidFree { addr: a }
+            .to_string()
+            .contains("double free"));
     }
 
     #[test]

@@ -59,12 +59,47 @@ pub struct LineAccess {
     pub victim_line: Option<u64>,
 }
 
+/// How a global line index splits into set index and tag.
+#[derive(Debug, Clone, Copy)]
+enum SetIndex {
+    /// Power-of-two set count: `set = line & mask`, `tag = line >> shift`.
+    Pow2 { mask: u64, shift: u32 },
+    /// Any other set count: `set = line % sets`, `tag = line / sets`.
+    Modulo { sets: u64 },
+}
+
+impl SetIndex {
+    #[inline]
+    fn split(self, line: u64) -> (usize, u64) {
+        match self {
+            SetIndex::Pow2 { mask, shift } => ((line & mask) as usize, line >> shift),
+            SetIndex::Modulo { sets } => ((line % sets) as usize, line / sets),
+        }
+    }
+
+    #[inline]
+    fn join(self, set: usize, tag: u64) -> u64 {
+        match self {
+            SetIndex::Pow2 { shift, .. } => (tag << shift) | set as u64,
+            SetIndex::Modulo { sets } => tag * sets + set as u64,
+        }
+    }
+}
+
 /// A set-associative, write-back, write-allocate cache with configurable
 /// replacement ([`ReplacementPolicy`]; LRU by default).
 ///
 /// The cache stores no data — only tags — because the simulation needs
 /// timing and energy, not values. One [`Cache::access`] call covers exactly
 /// one cache line; [`crate::MemorySystem`] splits larger transfers.
+///
+/// The lines live in one flat, set-major slice (`ways` lines per set). A
+/// line index is the address shifted by `log2(line_bytes)`; it splits into
+/// set and tag with a mask and a shift when the set count is a power of
+/// two, and with `%`/`/` otherwise. An access to the same line as the
+/// previous access skips the way scan: nothing can have evicted that line
+/// in between, and the hit updates clock, LRU stamp, dirty bit and
+/// counters exactly as a scanned hit does.
 ///
 /// # Example
 ///
@@ -82,7 +117,13 @@ pub struct LineAccess {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Set-major lines: set `s` is `lines[s * ways..(s + 1) * ways]`.
+    lines: Box<[Line]>,
+    ways: usize,
+    line_shift: u32,
+    index: SetIndex,
+    /// Line index and slot of the previous access; that line is resident.
+    mru: Option<(u64, usize)>,
     clock: u64,
     /// Deterministic xorshift state for [`ReplacementPolicy::Random`].
     rng: u64,
@@ -98,10 +139,23 @@ impl Cache {
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Self {
         cfg.validate().expect("invalid cache configuration");
-        let sets = cfg.sets() as usize;
+        let sets = cfg.sets();
+        let ways = cfg.ways as usize;
+        let index = if sets.is_power_of_two() {
+            SetIndex::Pow2 {
+                mask: sets - 1,
+                shift: sets.trailing_zeros(),
+            }
+        } else {
+            SetIndex::Modulo { sets }
+        };
         Cache {
             cfg,
-            sets: vec![vec![Line::default(); cfg.ways as usize]; sets],
+            lines: vec![Line::default(); sets as usize * ways].into_boxed_slice(),
+            ways,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            index,
+            mru: None,
             clock: 0,
             rng: 0x9E37_79B9_7F4A_7C15,
             stats: CacheStats::default(),
@@ -138,40 +192,71 @@ impl Cache {
     /// Like [`Cache::access`], but also reports which line was evicted so
     /// a multi-level hierarchy can route the writeback to the correct
     /// next-level set.
+    #[inline]
     pub fn access_line(&mut self, addr: VirtAddr, write: bool) -> LineAccess {
+        self.access_index(addr.as_u64() >> self.line_shift, write)
+    }
+
+    /// [`Cache::access_line`] on a global line index (the address divided
+    /// by the line size), for callers that already hold one.
+    #[inline(always)]
+    pub(crate) fn access_index(&mut self, line: u64, write: bool) -> LineAccess {
+        const HIT: LineAccess = LineAccess {
+            hit: true,
+            writeback: false,
+            victim_line: None,
+        };
         self.clock += 1;
-        let line_idx = addr.line_index(self.cfg.line_bytes);
-        let n_sets = self.sets.len() as u64;
-        let set_idx = (line_idx % n_sets) as usize;
-        let tag = line_idx / n_sets;
-        let set = &mut self.sets[set_idx];
-
-        if let Some(way) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            // FIFO and Random keep the fill-time stamp; only LRU refreshes
-            // recency on a hit.
-            if self.cfg.replacement == ReplacementPolicy::Lru {
-                way.stamp = self.clock;
+        if let Some((mru_line, slot)) = self.mru {
+            if mru_line == line {
+                self.hit(slot, write);
+                return HIT;
             }
-            way.dirty |= write;
-            if write {
-                self.stats.write_hits += 1;
-            } else {
-                self.stats.read_hits += 1;
-            }
-            return LineAccess {
-                hit: true,
-                writeback: false,
-                victim_line: None,
-            };
         }
+        let (set_idx, tag) = self.index.split(line);
+        let base = set_idx * self.ways;
+        let way = self.lines[base..base + self.ways]
+            .iter()
+            .position(|l| l.valid && l.tag == tag);
+        let (slot, outcome) = match way {
+            Some(way) => {
+                self.hit(base + way, write);
+                (base + way, HIT)
+            }
+            None => self.fill(set_idx, tag, write),
+        };
+        self.mru = Some((line, slot));
+        outcome
+    }
 
-        // Miss: allocate (write-allocate policy) over the LRU way.
+    #[inline]
+    fn hit(&mut self, slot: usize, write: bool) {
+        let line = &mut self.lines[slot];
+        // FIFO and Random keep the fill-time stamp; only LRU refreshes
+        // recency on a hit.
+        if self.cfg.replacement == ReplacementPolicy::Lru {
+            line.stamp = self.clock;
+        }
+        line.dirty |= write;
+        if write {
+            self.stats.write_hits += 1;
+        } else {
+            self.stats.read_hits += 1;
+        }
+    }
+
+    /// Miss: allocates (write-allocate) the line over the policy's victim
+    /// way of set `set_idx`; returns the filled slot and the outcome.
+    #[inline(never)]
+    fn fill(&mut self, set_idx: usize, tag: u64, write: bool) -> (usize, LineAccess) {
         if write {
             self.stats.write_misses += 1;
         } else {
             self.stats.read_misses += 1;
         }
-        let victim = if let Some(invalid) = set.iter().position(|l| !l.valid) {
+        let base = set_idx * self.ways;
+        let set = &self.lines[base..base + self.ways];
+        let way = if let Some(invalid) = set.iter().position(|l| !l.valid) {
             invalid
         } else {
             match self.cfg.replacement {
@@ -189,35 +274,37 @@ impl Cache {
                     self.rng ^= self.rng << 13;
                     self.rng ^= self.rng >> 7;
                     self.rng ^= self.rng << 17;
-                    (self.rng % set.len() as u64) as usize
+                    (self.rng % self.ways as u64) as usize
                 }
             }
         };
-        let victim = &mut set[victim];
+        let slot = base + way;
+        let victim = &mut self.lines[slot];
         let writeback = victim.valid && victim.dirty;
         if writeback {
             self.stats.writebacks += 1;
         }
-        let victim_line = writeback.then(|| victim.tag * n_sets + set_idx as u64);
-        victim.valid = true;
-        victim.dirty = write;
-        victim.tag = tag;
-        victim.stamp = self.clock;
-        LineAccess {
-            hit: false,
-            writeback,
-            victim_line,
-        }
+        let victim_line = writeback.then(|| self.index.join(set_idx, victim.tag));
+        *victim = Line {
+            tag,
+            valid: true,
+            dirty: write,
+            stamp: self.clock,
+        };
+        (
+            slot,
+            LineAccess {
+                hit: false,
+                writeback,
+                victim_line,
+            },
+        )
     }
 
     /// Number of currently valid lines (useful in tests).
     #[must_use]
     pub fn valid_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter())
-            .filter(|l| l.valid)
-            .count()
+        self.lines.iter().filter(|l| l.valid).count()
     }
 }
 

@@ -40,14 +40,26 @@ pub struct MemorySystem {
     cfg: MemoryConfig,
     alloc: SimAllocator,
     l1: Cache,
+    /// `log2` of the line size (shared by L1 and L2).
+    line_shift: u32,
     l2: Option<Cache>,
+    /// Hit latency of the L2 (unused without one).
+    l2_hit_cycles: u64,
     /// Per-access energy of the L2 array (constant: the L2 is a fixed
     /// hardware block, unlike the footprint-sized data memory).
     l2_access_nj: f64,
     dram: DramModel,
     energy: EnergyModel,
+    /// Per-access energy of the footprint-sized data memory at the current
+    /// live heap size; refreshed whenever the heap or energy model changes.
+    data_nj: f64,
     /// Bump pointer of the scratchpad region, when configured.
     spm_next: u64,
+    /// End of the scratchpad region `[SPM_BASE, spm_end)`; `SPM_BASE` (an
+    /// empty region) without a scratchpad.
+    spm_end: u64,
+    /// Access latency of the scratchpad (unused without one).
+    spm_cycles: u64,
     /// Per-access energy of the scratchpad array.
     spm_access_nj: f64,
     stats: MemStats,
@@ -74,7 +86,7 @@ impl MemorySystem {
             .spm
             .map(|s| EnergyModel::sram_access_nj(s.capacity_bytes, cfg.l1.line_bytes, 1))
             .unwrap_or(0.0);
-        MemorySystem {
+        let mut sys = MemorySystem {
             cfg,
             alloc: SimAllocator::with_policy(
                 cfg.heap_base,
@@ -82,14 +94,21 @@ impl MemorySystem {
                 cfg.fit_policy,
             ),
             l1: Cache::new(cfg.l1),
+            line_shift: cfg.l1.line_bytes.trailing_zeros(),
             l2,
+            l2_hit_cycles: cfg.l2.map_or(0, |c| c.hit_cycles),
             l2_access_nj,
             dram: DramModel::new(cfg.dram),
             energy,
+            data_nj: 0.0,
             spm_next: SPM_BASE,
+            spm_end: SPM_BASE + cfg.spm.map_or(0, |s| s.capacity_bytes),
+            spm_cycles: cfg.spm.map_or(0, |s| s.access_cycles),
             spm_access_nj,
             stats: MemStats::default(),
-        }
+        };
+        sys.refresh_data_nj();
+        sys
     }
 
     /// Builds the memory system but with an explicit (e.g. perturbed)
@@ -98,6 +117,7 @@ impl MemorySystem {
     pub fn with_energy_model(cfg: MemoryConfig, energy: EnergyModel) -> Self {
         let mut sys = Self::new(cfg);
         sys.energy = energy;
+        sys.refresh_data_nj();
         sys
     }
 
@@ -121,6 +141,7 @@ impl MemorySystem {
     /// Propagates [`AllocError`] from the underlying allocator.
     pub fn alloc(&mut self, size: u64) -> Result<VirtAddr, AllocError> {
         let addr = self.alloc.alloc(size)?;
+        self.refresh_data_nj();
         let cost = self.cfg.alloc_cost;
         self.charge_meta(cost.accesses_per_alloc, cost.cycles_per_alloc);
         self.stats.allocs += 1;
@@ -131,9 +152,11 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
-    /// Propagates [`AllocError`] on double free / wild pointer.
+    /// [`AllocError::InvalidFree`] when `addr` is not a live heap block
+    /// (double free or wild pointer).
     pub fn free(&mut self, addr: VirtAddr) -> Result<(), AllocError> {
         self.alloc.free(addr)?;
+        self.refresh_data_nj();
         let cost = self.cfg.alloc_cost;
         self.charge_meta(cost.accesses_per_free, cost.cycles_per_free);
         self.stats.frees += 1;
@@ -157,13 +180,12 @@ impl MemorySystem {
         if size == 0 {
             return Err(AllocError::ZeroSize);
         }
-        if let Some(spm) = self.cfg.spm {
-            let aligned = size.div_ceil(8) * 8;
-            if self.spm_next + aligned <= SPM_BASE + spm.capacity_bytes {
-                let addr = self.spm_next;
-                self.spm_next += aligned;
-                return Ok(VirtAddr::new(addr));
-            }
+        // Without a scratchpad `spm_end == spm_next`, so nothing fits.
+        let aligned = size.div_ceil(8) * 8;
+        if self.spm_next + aligned <= self.spm_end {
+            let addr = self.spm_next;
+            self.spm_next += aligned;
+            return Ok(VirtAddr::new(addr));
         }
         self.alloc(size)
     }
@@ -176,15 +198,15 @@ impl MemorySystem {
 
     /// Whether `addr` falls inside the configured scratchpad region.
     #[must_use]
+    #[inline]
     pub fn is_spm_addr(&self, addr: VirtAddr) -> bool {
-        self.cfg
-            .spm
-            .is_some_and(|s| (SPM_BASE..SPM_BASE + s.capacity_bytes).contains(&addr.as_u64()))
+        (SPM_BASE..self.spm_end).contains(&addr.as_u64())
     }
 
     /// Issues a read of `size` bytes starting at `addr`.
     ///
     /// Returns the cycle cost of this transaction.
+    #[inline]
     pub fn read(&mut self, addr: VirtAddr, size: u64) -> u64 {
         self.transact(addr, size, false)
     }
@@ -192,12 +214,14 @@ impl MemorySystem {
     /// Issues a write of `size` bytes starting at `addr`.
     ///
     /// Returns the cycle cost of this transaction.
+    #[inline]
     pub fn write(&mut self, addr: VirtAddr, size: u64) -> u64 {
         self.transact(addr, size, true)
     }
 
     /// Charges `ops` pure CPU operations (comparisons, pointer arithmetic)
     /// that do not touch memory.
+    #[inline]
     pub fn touch_cpu(&mut self, ops: u64) {
         let cycles = ops * self.cfg.cpu_op_cycles;
         self.stats.cycles += cycles;
@@ -256,16 +280,16 @@ impl MemorySystem {
         self.dram.reset_stats();
     }
 
-    /// Serves an L1 fill from the L2 (falling through to the backing
-    /// store on an L2 miss); returns the cycle cost.
-    fn next_level_read(&mut self, line_addr: VirtAddr) -> u64 {
+    /// Serves an L1 fill of line index `line` from the L2 (falling through
+    /// to the backing store on an L2 miss); returns the cycle cost. L1 and
+    /// L2 share the line size, so a line index means the same in both.
+    fn next_level_read(&mut self, line: u64) -> u64 {
         let Some(l2) = &mut self.l2 else {
             self.stats.energy_nj += self.energy.dram_access_nj;
             return self.dram.read_line();
         };
-        let outcome = l2.access_line(line_addr, false);
-        let l2_cfg = self.cfg.l2.expect("l2 cache implies l2 config");
-        let mut cycles = l2_cfg.hit_cycles;
+        let outcome = l2.access_index(line, false);
+        let mut cycles = self.l2_hit_cycles;
         self.stats.energy_nj += self.l2_access_nj;
         if !outcome.hit {
             cycles += self.dram.read_line();
@@ -278,15 +302,15 @@ impl MemorySystem {
         cycles
     }
 
-    /// Routes an L1 dirty writeback to the L2 (or the backing store).
-    fn next_level_write(&mut self, victim_addr: VirtAddr) -> u64 {
+    /// Routes the L1 dirty writeback of line index `victim` to the L2 (or
+    /// the backing store).
+    fn next_level_write(&mut self, victim: u64) -> u64 {
         let Some(l2) = &mut self.l2 else {
             self.stats.energy_nj += self.energy.dram_access_nj;
             return self.dram.write_line();
         };
-        let outcome = l2.access_line(victim_addr, true);
-        let l2_cfg = self.cfg.l2.expect("l2 cache implies l2 config");
-        let mut cycles = l2_cfg.hit_cycles;
+        let outcome = l2.access_index(victim, true);
+        let mut cycles = self.l2_hit_cycles;
         self.stats.energy_nj += self.l2_access_nj;
         if !outcome.hit {
             // Write-allocate: fetch the line before dirtying it.
@@ -309,50 +333,53 @@ impl MemorySystem {
             + self.energy.leakage_nj_per_cycle * cycles as f64;
     }
 
+    /// Recomputes the footprint-dependent data-access energy.
+    fn refresh_data_nj(&mut self) {
+        self.data_nj = self
+            .energy
+            .data_access_nj(self.alloc.stats().live_gross_bytes);
+    }
+
+    /// Prices one transaction. Deliberately not `#[inline]`: the public
+    /// wrappers inline into every DDT call site and share this one copy,
+    /// with the L1 lookup inlined into it.
     fn transact(&mut self, addr: VirtAddr, size: u64, write: bool) -> u64 {
         debug_assert!(size > 0, "zero-size transaction");
-        if self.is_spm_addr(addr) {
+        let cycles = if self.is_spm_addr(addr) {
             // Scratchpad access: fixed latency, small fixed energy, no
             // cache involvement.
-            let spm = self.cfg.spm.expect("spm address implies spm config");
-            let cycles = spm.access_cycles;
-            if write {
-                self.stats.writes += 1;
-                self.stats.write_bytes += size;
-            } else {
-                self.stats.reads += 1;
-                self.stats.read_bytes += size;
-            }
+            let cycles = self.spm_cycles;
             self.stats.cycles += cycles;
             self.stats.energy_nj +=
                 self.spm_access_nj + self.energy.leakage_nj_per_cycle * cycles as f64;
-            return cycles;
-        }
-        let line = self.cfg.l1.line_bytes;
-        let first = addr.line_index(line);
-        let last = addr.offset(size.saturating_sub(1)).line_index(line);
-        let mut cycles = 0;
-        // CACTI effect: the data memory serving the heap is sized to what
-        // the application allocates, so its per-access energy depends on
-        // the live footprint (latency does not, at this abstraction).
-        let data_nj = self
-            .energy
-            .data_access_nj(self.alloc.stats().live_gross_bytes);
-        for li in first..=last {
-            let line_addr = VirtAddr::new(li * line);
-            let outcome = self.l1.access_line(line_addr, write);
-            cycles += self.cfg.l1.hit_cycles;
-            self.stats.energy_nj += data_nj;
-            if !outcome.hit {
-                // Miss: fill from the L2 (when present) or the backing
-                // store.
-                cycles += self.next_level_read(line_addr);
+            cycles
+        } else {
+            let first = addr.as_u64() >> self.line_shift;
+            let last = addr.offset(size.saturating_sub(1)).as_u64() >> self.line_shift;
+            let mut cycles = 0;
+            // CACTI effect: the data memory serving the heap is sized to
+            // what the application allocates, so its per-access energy
+            // depends on the live footprint (latency does not, at this
+            // abstraction); `data_nj` holds it for the current heap.
+            for line in first..=last {
+                let outcome = self.l1.access_index(line, write);
+                cycles += self.cfg.l1.hit_cycles;
+                self.stats.energy_nj += self.data_nj;
+                if !outcome.hit {
+                    // Miss: fill from the L2 (when present) or the backing
+                    // store.
+                    cycles += self.next_level_read(line);
+                }
+                if let Some(victim) = outcome.victim_line {
+                    // Dirty eviction: write the victim line to the next
+                    // level.
+                    cycles += self.next_level_write(victim);
+                }
             }
-            if let Some(victim) = outcome.victim_line {
-                // Dirty eviction: write the victim line to the next level.
-                cycles += self.next_level_write(VirtAddr::new(victim * line));
-            }
-        }
+            self.stats.cycles += cycles;
+            self.stats.energy_nj += self.energy.leakage_nj_per_cycle * cycles as f64;
+            cycles
+        };
         if write {
             self.stats.writes += 1;
             self.stats.write_bytes += size;
@@ -360,8 +387,6 @@ impl MemorySystem {
             self.stats.reads += 1;
             self.stats.read_bytes += size;
         }
-        self.stats.cycles += cycles;
-        self.stats.energy_nj += self.energy.leakage_nj_per_cycle * cycles as f64;
         cycles
     }
 }
@@ -455,7 +480,7 @@ mod tests {
         let mut m = sys();
         let a = m.alloc(8).unwrap();
         m.free(a).unwrap();
-        assert!(m.free(a).is_err());
+        assert_eq!(m.free(a), Err(AllocError::InvalidFree { addr: a }));
     }
 
     #[test]
@@ -488,5 +513,38 @@ mod tests {
         m2.read(a2, 8);
         // dynamic part doubles; leakage identical and tiny
         assert!(m2.stats().energy_nj > 1.9 * m1.stats().energy_nj);
+    }
+
+    #[test]
+    fn with_energy_model_charges_the_live_heap_footprint() {
+        let cfg = MemoryConfig::tiny_for_tests();
+        let model = EnergyModel::from_configs(&cfg.l1, &cfg.dram).scaled(2.0);
+        let mut m = MemorySystem::with_energy_model(cfg, model);
+        let a = m.alloc(8).unwrap();
+        let _big = m.alloc(16 * 1024).unwrap();
+        m.read(a, 8); // warm the line
+        let live = m.alloc_stats().live_gross_bytes;
+        assert_ne!(model.data_access_nj(live), model.data_access_nj(0));
+        let before = m.stats().energy_nj;
+        let cycles = m.read(a, 8);
+        let expected =
+            (before + model.data_access_nj(live)) + model.leakage_nj_per_cycle * cycles as f64;
+        assert_eq!(m.stats().energy_nj.to_bits(), expected.to_bits());
+    }
+
+    #[test]
+    fn free_refreshes_the_footprint_energy() {
+        let mut m = sys();
+        let a = m.alloc(8).unwrap();
+        let big = m.alloc(16 * 1024).unwrap();
+        m.free(big).unwrap();
+        m.read(a, 8); // warm the line
+        let model = m.energy_model();
+        let before = m.stats().energy_nj;
+        let cycles = m.read(a, 8);
+        let live = m.alloc_stats().live_gross_bytes;
+        let expected =
+            (before + model.data_access_nj(live)) + model.leakage_nj_per_cycle * cycles as f64;
+        assert_eq!(m.stats().energy_nj.to_bits(), expected.to_bits());
     }
 }
