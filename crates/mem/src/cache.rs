@@ -218,15 +218,14 @@ impl Cache {
         let way = self.lines[base..base + self.ways]
             .iter()
             .position(|l| l.valid && l.tag == tag);
-        let (slot, outcome) = match way {
+        match way {
             Some(way) => {
                 self.hit(base + way, write);
-                (base + way, HIT)
+                self.mru = Some((line, base + way));
+                HIT
             }
-            None => self.fill(set_idx, tag, write),
-        };
-        self.mru = Some((line, slot));
-        outcome
+            None => self.fill(line, set_idx, tag, write),
+        }
     }
 
     #[inline]
@@ -245,10 +244,10 @@ impl Cache {
         }
     }
 
-    /// Miss: allocates (write-allocate) the line over the policy's victim
-    /// way of set `set_idx`; returns the filled slot and the outcome.
+    /// Miss: allocates (write-allocate) `line`, which splits into
+    /// `set_idx` and `tag`, over the policy's victim way.
     #[inline(never)]
-    fn fill(&mut self, set_idx: usize, tag: u64, write: bool) -> (usize, LineAccess) {
+    fn fill(&mut self, line: u64, set_idx: usize, tag: u64, write: bool) -> LineAccess {
         if write {
             self.stats.write_misses += 1;
         } else {
@@ -291,14 +290,12 @@ impl Cache {
             dirty: write,
             stamp: self.clock,
         };
-        (
-            slot,
-            LineAccess {
-                hit: false,
-                writeback,
-                victim_line,
-            },
-        )
+        self.mru = Some((line, slot));
+        LineAccess {
+            hit: false,
+            writeback,
+            victim_line,
+        }
     }
 
     /// Number of currently valid lines (useful in tests).
