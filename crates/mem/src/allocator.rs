@@ -358,7 +358,7 @@ impl SimAllocator {
     /// Number of disjoint free regions (external fragmentation proxy).
     #[must_use]
     pub fn free_regions(&self) -> usize {
-        self.free.len
+        self.free.chunks.iter().map(|c| c.regions.len()).sum()
     }
 
     /// Gross bytes consumed by a `size`-byte allocation, including header
@@ -384,8 +384,6 @@ const CHUNK: usize = 64;
 struct FreeList {
     /// Address-ordered, non-empty chunks.
     chunks: Vec<Chunk>,
-    /// Number of regions.
-    len: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -453,7 +451,6 @@ impl FreeList {
 
     /// Adds the region `(start, len)`, which overlaps no other.
     fn insert(&mut self, start: u64, len: u64) {
-        self.len += 1;
         if self.chunks.is_empty() {
             self.chunks.push(Chunk {
                 regions: vec![(start, len)],
@@ -487,7 +484,6 @@ impl FreeList {
         } else if len == chunk.max {
             chunk.refresh_max();
         }
-        self.len -= 1;
     }
 
     /// Moves the region starting at `key` to `(start, len)`, which must keep
