@@ -255,27 +255,28 @@ impl Cache {
         }
         let base = set_idx * self.ways;
         let set = &self.lines[base..base + self.ways];
-        let way = if let Some(invalid) = set.iter().position(|l| !l.valid) {
-            invalid
-        } else {
-            match self.cfg.replacement {
-                // LRU evicts the least recently touched way; FIFO the
-                // oldest-filled (stamps are only refreshed under LRU, so
-                // the same min-stamp scan serves both).
-                ReplacementPolicy::Lru | ReplacementPolicy::Fifo => set
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.stamp)
-                    .map(|(i, _)| i)
-                    .expect("cache set has at least one way"),
-                ReplacementPolicy::Random => {
+        let way = match self.cfg.replacement {
+            // LRU evicts the least recently touched way; FIFO the
+            // oldest-filled (stamps are only refreshed under LRU, so the
+            // same min-stamp scan serves both). An invalid way has never
+            // been stamped (stamp 0, every fill stamps the clock, which is
+            // at least 1), so the scan picks the first invalid way first.
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => set
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, l)| l.stamp)
+                .map(|(i, _)| i)
+                .expect("cache set has at least one way"),
+            ReplacementPolicy::Random => match set.iter().position(|l| !l.valid) {
+                Some(invalid) => invalid,
+                None => {
                     // xorshift64* — deterministic across runs.
                     self.rng ^= self.rng << 13;
                     self.rng ^= self.rng >> 7;
                     self.rng ^= self.rng << 17;
                     (self.rng % self.ways as u64) as usize
                 }
-            }
+            },
         };
         let slot = base + way;
         let victim = &mut self.lines[slot];
