@@ -44,6 +44,21 @@
 
 mod config;
 mod constraints;
+// The no-panic boundary (see docs/LINTS.md): the request → result path
+// shared with `ddtr serve` returns structured errors.
+#[cfg_attr(
+    not(test),
+    forbid(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )
+)]
 mod dispatch;
 mod error;
 mod ga;

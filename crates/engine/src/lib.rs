@@ -59,6 +59,21 @@ mod key;
 mod scheduler;
 mod session;
 mod sim;
+// The no-panic boundary (see docs/LINTS.md): verify-on-read surfaces
+// corrupt on-disk bytes as `StoreError`s, never as panics.
+#[cfg_attr(
+    not(test),
+    forbid(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )
+)]
 pub mod store;
 pub mod testing;
 pub mod timing;

@@ -96,7 +96,7 @@ impl SegHeader {
             return Err(CorruptKind::BadVersion { found: version });
         }
         let stored = read_u64(fixed, 48).ok_or(CorruptKind::Truncated)?;
-        if stored != fnv1a64(&fixed[0..48]) {
+        if stored != fnv1a64(fixed.get(0..48).ok_or(CorruptKind::Truncated)?) {
             return Err(CorruptKind::BadChecksum);
         }
         Ok(SegHeader {
@@ -147,7 +147,7 @@ impl IdxHeader {
             return Err(CorruptKind::BadVersion { found: version });
         }
         let stored = read_u64(fixed, 32).ok_or(CorruptKind::Truncated)?;
-        if stored != fnv1a64(&fixed[0..32]) {
+        if stored != fnv1a64(fixed.get(0..32).ok_or(CorruptKind::Truncated)?) {
             return Err(CorruptKind::BadChecksum);
         }
         Ok(IdxHeader {
@@ -192,7 +192,7 @@ impl IdxEntry {
     pub fn decode(buf: &[u8]) -> Result<Self, CorruptKind> {
         let fixed = buf.get(0..IDX_ENTRY_LEN).ok_or(CorruptKind::Truncated)?;
         let stored = read_u64(fixed, 24).ok_or(CorruptKind::Truncated)?;
-        if stored != fnv1a64(&fixed[0..24]) {
+        if stored != fnv1a64(fixed.get(0..24).ok_or(CorruptKind::Truncated)?) {
             return Err(CorruptKind::BadChecksum);
         }
         Ok(IdxEntry {

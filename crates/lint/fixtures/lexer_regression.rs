@@ -1,28 +1,30 @@
-// Constructs the PR 6 line blanker mis-lexed, kept as a regression
-// corpus for the token front end. The killer is the escaped-quote char
-// literal: the old blanker consumed `'\''` one char short, then its
-// stray-quote recovery swallowed the `,` and the opening quote of the
-// *next* literal — leaking a phantom `}` into the code view. Two of
-// those collapse the `#[cfg(test)]` brace count below, so the old front
-// end flagged the genuine test-only `assert_eq!`/`unwrap()` here as
-// no-panic-boundary violations. The raw strings and nested comments
-// carry banned tokens that must stay blanked either way.
+// Constructs an earlier line-based blanker mis-lexed, kept as a
+// regression corpus for the token front end. The killer is the
+// escaped-quote char literal: that blanker consumed `'\''` one char
+// short, then its stray-quote recovery swallowed the `,` and the opening
+// quote of the *next* literal — leaking a phantom `}` into the code
+// view. Two of those collapse the `#[cfg(test)]` brace count below, so
+// the genuine test-only hash iteration there would be flagged as a
+// det-iter violation. The raw strings and nested comments carry
+// `partial_cmp` and `seen.keys()`, which must stay blanked either way.
 pub fn tricky() -> usize {
     let sql = r#"
-        multi-line raw string: .unwrap() and partial_cmp stay hidden "#;
-    let deep = r##"ends with "# one hash but keeps going .unwrap()"##;
-    let nested = 1; /* outer /* .unwrap() inner */ still comment */
+        multi-line raw string: seen.keys() and partial_cmp stay hidden "#;
+    let deep = r##"ends with "# one hash but keeps going a.partial_cmp(b)"##;
+    let nested = 1; /* outer /* seen.keys() inner */ still partial_cmp */
     sql.len() + deep.len() + nested
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     #[test]
     fn quoting() {
         let a = ['\'','}']; // adjacency matters: no space after the comma
         let b = ['\'','}'];
-        let v: Option<u32> = Some(1);
-        assert_eq!(v.unwrap(), 1);
+        let seen: HashMap<u32, u32> = HashMap::from([(1, 2)]);
+        assert_eq!(seen.keys().count(), 1);
         let _ = (a, b);
     }
 }

@@ -1,11 +1,10 @@
 // Known-good boundary code: structured errors, poison-tolerant locks,
-// debug asserts, checked indexing. Decoys ("unwrap()" in strings and
-// comments, unwrap_or_else) must not match.
+// checked indexing. Decoys ("unwrap()" in strings and comments,
+// unwrap_or_else) must not match.
 use std::sync::{Mutex, PoisonError};
 
 fn handle(line: &str, xs: &[u8]) -> Result<u8, String> {
     let v: i64 = line.parse().map_err(|e| format!("bad request: {e}"))?;
-    debug_assert!(v >= 0, "validated upstream");
     let first = xs.get(0).copied().ok_or("empty payload")?;
     let _ = v;
     Ok(first)

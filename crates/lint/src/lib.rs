@@ -2,25 +2,26 @@
 //! bin.
 //!
 //! The repo's core guarantees — byte-identical Pareto fronts at any
-//! `--jobs`, NaN-safe float ordering, structured errors (never panics)
-//! across the serve protocol boundary, mutex guards never held across
-//! blocking I/O, lock acquisitions that cannot deadlock, a wire
-//! protocol old peers keep decoding, docs that match the code, and
-//! `CacheKey` fingerprints that cover every config field — were
-//! enforced by hand-audit through PR 5, and had already started
-//! regressing. This crate mechanizes them as eight rules (see
-//! [`rules`]) that run in milliseconds on every CI push:
+//! `--jobs`, NaN-safe float ordering, mutex guards never held across
+//! blocking I/O, lock acquisitions that cannot deadlock, docs that match
+//! the code, and `CacheKey` fingerprints that cover every config field —
+//! were enforced by hand-audit through PR 5, and had already started
+//! regressing. This crate mechanizes them as six rules (see [`rules`])
+//! that run in milliseconds on every CI push:
 //!
 //! | rule | invariant |
 //! |------|-----------|
 //! | `float-ord` | comparators use `f64::total_cmp`, never `partial_cmp` |
-//! | `no-panic-boundary` | serve/dispatch request paths return structured errors |
 //! | `det-iter` | no hash-order iteration in determinism-critical modules |
 //! | `cache-key-coverage` | config fields are declared fingerprint-covered in key.rs |
 //! | `lock-across-io` | no mutex guard held across write/flush in crates/serve |
 //! | `lock-order` | no acquisition cycles; no guard held across a pool-blocking call |
-//! | `serde-compat` | wire types stay decodable by v1 peers (pinned manifest) |
 //! | `doc-drift` | metric names, protocol variants and CLI verbs match their docs |
+//!
+//! Two guarantees the compiler or a test checks exactly live elsewhere:
+//! the no-panic boundary is a `forbid` list of clippy lints, and the v1
+//! wire shape is pinned by `crates/serve/tests/wire_v1.rs` (see
+//! `docs/LINTS.md`).
 //!
 //! The checker is deliberately dependency-light (no `syn`, like the
 //! repo's hand-written vendored serde derive): a small Rust lexer

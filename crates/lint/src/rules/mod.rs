@@ -1,10 +1,10 @@
 //! The rule catalog.
 //!
 //! Every rule implements [`Rule`] over the whole [`Workspace`] (most scan
-//! file by file; `cache-key-coverage` and `serde-compat` are genuinely
-//! cross-file, `lock-order` is inter-procedural, `doc-drift` crosses into
-//! markdown). The checker in [`crate::run`] applies waivers afterwards,
-//! so rules report every raw violation they see.
+//! file by file; `cache-key-coverage` is genuinely cross-file,
+//! `lock-order` is inter-procedural, `doc-drift` crosses into markdown).
+//! The checker in [`crate::run`] applies waivers afterwards, so rules
+//! report every raw violation they see.
 //!
 //! Path scoping lives in one declarative [`SCOPES`] table instead of a
 //! private predicate per rule, so "which rule watches which files" is a
@@ -19,8 +19,6 @@ mod doc_drift;
 mod float_ord;
 mod lock_io;
 mod lock_order;
-mod no_panic;
-mod serde_compat;
 
 pub use cache_key::CacheKeyCoverage;
 pub use det_iter::DetIter;
@@ -28,8 +26,6 @@ pub use doc_drift::DocDrift;
 pub use float_ord::FloatOrd;
 pub use lock_io::LockAcrossIo;
 pub use lock_order::LockOrder;
-pub use no_panic::NoPanicBoundary;
-pub use serde_compat::SerdeCompat;
 
 /// One invariant checker.
 pub trait Rule {
@@ -46,12 +42,10 @@ pub trait Rule {
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(FloatOrd),
-        Box::new(NoPanicBoundary),
         Box::new(DetIter),
         Box::new(CacheKeyCoverage),
         Box::new(LockAcrossIo),
         Box::new(LockOrder),
-        Box::new(SerdeCompat),
         Box::new(DocDrift),
     ]
 }
@@ -66,18 +60,13 @@ pub struct Scope {
     pub files: &'static [&'static str],
 }
 
-/// Which rule watches which files, declaratively. `float-ord`,
-/// `cache-key-coverage` and `serde-compat` are absent on purpose: the
-/// first is workspace-wide, the other two anchor on a manifest file of
-/// their own (`engine/src/key.rs`, `serve/src/protocol.rs`).
+/// Which rule watches which files, declaratively. `float-ord` and
+/// `cache-key-coverage` are absent on purpose: the first is
+/// workspace-wide, the second anchors on a manifest file of its own
+/// (`engine/src/key.rs`).
 ///
 /// Scope rationale, kept with the data it explains:
 ///
-/// * `no-panic-boundary` — the serve boundary, the shared dispatch path,
-///   the observability layer (instrumentation that panics tears down
-///   whatever it was observing) and the pile store (verify-on-read means
-///   untrusted bytes flow through it; corruption must surface as errors,
-///   never panics).
 /// * `det-iter` — the Pareto crate, the GA, the engine cache/key/store
 ///   path and obs snapshots: everywhere hash-order iteration would break
 ///   byte-identical output.
@@ -87,17 +76,6 @@ pub struct Scope {
 /// * `doc-drift` — the crates whose metric/span names and CLI surface the
 ///   shipped docs catalog.
 pub const SCOPES: &[(&str, Scope)] = &[
-    (
-        "no-panic-boundary",
-        Scope {
-            prefixes: &[
-                "crates/serve/src/",
-                "crates/obs/src/",
-                "crates/engine/src/store/",
-            ],
-            files: &["crates/core/src/dispatch.rs"],
-        },
-    ),
     (
         "det-iter",
         Scope {

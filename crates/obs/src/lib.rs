@@ -55,6 +55,22 @@
 //! [`BenchReport`]: https://docs.rs/ddtr_engine
 //! [`render_prometheus`]: crate::render_prometheus
 
+// The no-panic boundary (see docs/LINTS.md): recording a metric must
+// never be what panics a server or an exploration thread.
+#![cfg_attr(
+    not(test),
+    forbid(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )
+)]
+
 pub mod hist;
 pub mod metrics;
 pub mod span;

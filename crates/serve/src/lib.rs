@@ -62,6 +62,24 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
+// The no-panic boundary: every failure a client can provoke comes back
+// as a structured error, never a panic. `forbid` admits no inner
+// `allow`; `cfg(test)` code may still unwrap. The same list guards
+// ddtr_obs, ddtr_engine::store and ddtr_core::dispatch (docs/LINTS.md).
+#![cfg_attr(
+    not(test),
+    forbid(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::disallowed_macros
+    )
+)]
+
 mod client;
 mod endpoint;
 mod fleet;

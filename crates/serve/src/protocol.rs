@@ -35,33 +35,7 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// shape. Clients must ignore names they do not know.
 pub const SERVER_CAPABILITIES: &[&str] = &["auth", "cancel", "cells", "codes", "fleet", "metrics"];
 
-// The serde-compat manifest: the v1 wire shape, pinned. `ddtr-lint`
-// cross-checks it against the types below both ways — removing or
-// renaming anything listed here is a wire break and fails CI; fields
-// added since v1 (`JobSpec.mem`, `Event::Stats.metrics`,
-// `Event::Hello.{capabilities,workers}`, `Event::Error.code`) must stay
-// optional, and enum variants beyond the lists (`Metrics`, `Cell`,
-// `Welcome`, `RequestBody::Hello`) are additive. `ErrorCode` shipped
-// whole with the fleet surface, so its variant list is pinned from its
-// first release. Bump deliberately by editing this block in the same
-// commit.
-//
-// ddtr-lint: serde-compat begin
-// struct Request v1: id, body
-// enum RequestBody v1: Ping, Stats, Run, Cancel, Shutdown
-// variant RequestBody::Cancel v1: target
-// struct JobSpec v1: inline, mode, app, quick, extended, stream, base, scenarios, packets, seed
-// enum Event v1: Hello, Pong, Queued, Running, Result, Stats, Cancelled, Error, Bye
-// variant Event::Hello v1: protocol, server, jobs
-// variant Event::Pong v1: id
-// variant Event::Queued v1: id
-// variant Event::Running v1: id, done, total
-// variant Event::Result v1: id, executed, cache_hits, result
-// variant Event::Stats v1: id, stats, jobs
-// variant Event::Cancelled v1: id
-// variant Event::Error v1: id, error
-// enum ErrorCode v1: Parse, BadRequest, AuthRequired, AuthFailed, UnsupportedProtocol, RateLimited, TooLarge, DuplicateId, UnknownTarget, Overloaded, Internal
-// ddtr-lint: serde-compat end
+// The v1 wire shape is pinned by crates/serve/tests/wire_v1.rs.
 
 /// Stable machine-readable classification of an [`Event::Error`].
 ///

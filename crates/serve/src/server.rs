@@ -123,6 +123,29 @@ pub fn write_pidfile(path: &Path, pid: u32) -> Result<(), ServeError> {
     writeln!(file, "{pid}").map_err(fail)
 }
 
+/// Binds a Unix socket at `path`, reclaiming the file a killed server
+/// left behind (only a served `Shutdown` unlinks it). On `AddrInUse` a
+/// probe connection decides: refused means no server owns the socket,
+/// so the stale file is unlinked and the bind retried once; a live peer
+/// keeps its socket and the original error is returned. Files that are
+/// not sockets are never unlinked.
+#[cfg(unix)]
+fn bind_unix(path: &Path) -> io::Result<std::os::unix::net::UnixListener> {
+    use std::os::unix::fs::FileTypeExt;
+    use std::os::unix::net::{UnixListener, UnixStream};
+    let in_use = match UnixListener::bind(path) {
+        Err(e) if e.kind() == io::ErrorKind::AddrInUse => e,
+        bound => return bound,
+    };
+    let stale = std::fs::symlink_metadata(path).is_ok_and(|m| m.file_type().is_socket())
+        && UnixStream::connect(path).is_err_and(|e| e.kind() == io::ErrorKind::ConnectionRefused);
+    if !stale {
+        return Err(in_use);
+    }
+    std::fs::remove_file(path)?;
+    UnixListener::bind(path)
+}
+
 /// The shared event writer of one connection: serialises events to one
 /// line each and remembers when the peer stopped accepting them.
 ///
@@ -810,11 +833,10 @@ impl Server {
             }
             #[cfg(unix)]
             Endpoint::Unix(path) => {
-                let listener =
-                    std::os::unix::net::UnixListener::bind(path).map_err(|e| ServeError::Bind {
-                        endpoint: format!("unix:{}", path.display()),
-                        source: e,
-                    })?;
+                let listener = bind_unix(path).map_err(|e| ServeError::Bind {
+                    endpoint: format!("unix:{}", path.display()),
+                    source: e,
+                })?;
                 eprintln!(
                     "ddtr serve: listening on unix:{} (workers={workers}, jobs={})",
                     path.display(),

@@ -969,3 +969,76 @@ fn multi_worker_fleet_routes_deterministically_and_answers_warm() {
     assert!(*cache_hits > 0);
     assert_eq!(front_of(&reply_cold), front_of(&reply_warm));
 }
+
+/// A pinging client for `endpoint`, retrying while the server binds.
+#[cfg(unix)]
+fn ping_over(endpoint: &Endpoint, id: &str) -> Event {
+    let mut client = Client::builder(endpoint.clone())
+        .retry_connect(100, std::time::Duration::from_millis(20))
+        .connect()
+        .expect("connect");
+    client
+        .call(&Request::new(id, RequestBody::Ping), |_| {})
+        .expect("ping")
+}
+
+#[cfg(unix)]
+#[test]
+fn a_killed_servers_stale_unix_socket_does_not_block_the_next_start() {
+    let dir = ddtr_engine::testing::TempCacheDir::new("stale-sock");
+    let path = dir.path().join("d.sock");
+    // A dropped listener leaves its socket file behind, as a killed
+    // server does.
+    drop(std::os::unix::net::UnixListener::bind(&path).expect("bind"));
+    assert!(path.exists());
+    let endpoint = Endpoint::Unix(path);
+    let server = Server::new(EngineConfig::with_jobs(1)).expect("server");
+    std::thread::scope(|scope| {
+        let listening = scope.spawn(|| server.listen(&endpoint));
+        let reply = ping_over(&endpoint, "p");
+        assert!(matches!(reply, Event::Pong { .. }), "{reply:?}");
+        let mut client = Client::connect(&endpoint).expect("connect");
+        client
+            .send(&Request::new("bye", RequestBody::Shutdown))
+            .expect("shutdown");
+        let served = listening.join().expect("listener thread");
+        assert!(served.is_ok(), "{served:?}");
+    });
+}
+
+#[cfg(unix)]
+#[test]
+fn a_live_servers_unix_socket_is_never_taken_over() {
+    let dir = ddtr_engine::testing::TempCacheDir::new("live-sock");
+    let endpoint = Endpoint::Unix(dir.path().join("d.sock"));
+    let first = Arc::new(Server::new(EngineConfig::with_jobs(1)).expect("first server"));
+    let listening = {
+        let (first, endpoint) = (Arc::clone(&first), endpoint.clone());
+        std::thread::spawn(move || first.listen(&endpoint))
+    };
+    assert!(matches!(ping_over(&endpoint, "up"), Event::Pong { .. }));
+    // The second server runs aside, so one that steals the socket and
+    // serves forever fails this test instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let second = {
+        let endpoint = endpoint.clone();
+        std::thread::spawn(move || {
+            let second = Server::new(EngineConfig::with_jobs(1)).expect("second server");
+            let _ = tx.send(second.listen(&endpoint));
+        })
+    };
+    let err = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("the second server must give up, not serve")
+        .expect_err("the socket is live");
+    second.join().expect("second server thread");
+    assert!(matches!(err, ddtr_serve::ServeError::Bind { .. }), "{err}");
+    let reply = ping_over(&endpoint, "still");
+    assert!(matches!(reply, Event::Pong { .. }), "{reply:?}");
+    let mut client = Client::connect(&endpoint).expect("connect");
+    client
+        .send(&Request::new("bye", RequestBody::Shutdown))
+        .expect("shutdown");
+    let served = listening.join().expect("listener thread");
+    assert!(served.is_ok(), "{served:?}");
+}
